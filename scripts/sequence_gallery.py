@@ -5,7 +5,12 @@ Everything here is recomputed from scratch; the OEIS ids are given where
 a sequence is catalogued, for eyeball cross-checking.
 """
 
-from catalan_hankel.hankel import SquareMatrix, det_fraction_free, hankel_det
+from catalan_hankel.hankel import (
+    SquareMatrix,
+    det_fraction_free,
+    hankel_dets,
+    leading_minors,
+)
 from catalan_hankel.ring import render
 from catalan_hankel.sequences import Constant, Explicit, admissible_table, column
 from catalan_hankel.series import reciprocal_power_coeffs
@@ -26,32 +31,27 @@ def main():
 
     print()
     print("== shifted Hankel determinants, constant weight 1 ==")
-    show("D(1,1,n)", [hankel_det(unit, 1, 1, n) for n in range(12)])
-    show("D(-1,1,n)", [hankel_det(unit, -1, 1, n) for n in range(12)])
-    show("D(2,2,n)", [hankel_det(unit, 2, 2, n) for n in range(14)])
-    show("D(-2,2,n)", [hankel_det(unit, -2, 2, n) for n in range(13)])
+    show("D(1,1,n)", hankel_dets(unit, 1, 1, 11))
+    show("D(-1,1,n)", hankel_dets(unit, -1, 1, 11))
+    show("D(2,2,n)", hankel_dets(unit, 2, 2, 13))
+    show("D(-2,2,n)", hankel_dets(unit, -2, 2, 12))
 
     print()
     print("== weights (1, 0, 0, ...): central binomial column ==")
     s = Explicit((1,), 0)
     ts = admissible_table(s, 10)
     show("a[n][0] (A001405)", [column(ts, 0, n) for n in range(11)])
-    show("D(2,0,n)", [hankel_det(s, 2, 0, n) for n in range(12)])
-    show("D(2,0,n), shifted wts", [hankel_det(Explicit((), 0), 2, 0, n) for n in range(14)])
-    show("D(-2,0,n)", [hankel_det(s, -2, 0, n) for n in range(19)])
+    show("D(2,0,n)", hankel_dets(s, 2, 0, 11))
+    show("D(2,0,n), shifted wts", hankel_dets(Explicit((), 0), 2, 0, 13))
+    show("D(-2,0,n)", hankel_dets(s, -2, 0, 18))
 
     print()
     print("== reciprocal third power of the Motzkin series ==")
     b = reciprocal_power_coeffs(1, 2, 13)
     show("b[n] of 1/A^3", b)
-    d_values = [
-        det_fraction_free(
-            SquareMatrix.from_rows([[b[i + j] for j in range(size)] for i in range(size)])
-        )
-        for size in range(8)
-    ]
-    show("det(b[i+j]) by size", d_values)
-    show("D(4,2,n)", [hankel_det(unit, 4, 2, n) for n in range(7)])
+    b_rows = [[b[i + j] for j in range(7)] for i in range(7)]
+    show("det(b[i+j]) by size", leading_minors(SquareMatrix.from_rows(b_rows)))
+    show("D(4,2,n)", hankel_dets(unit, 4, 2, 6))
     print()
     print("worked example: det of the leading 3x3 block of (b[i+j]) is")
     rows = [[b[i + j] for j in range(3)] for i in range(3)]

@@ -32,7 +32,9 @@ from .hankel import (
     SquareMatrix,
     det_fraction_free,
     hankel_det,
+    hankel_dets,
     hankel_matrix,
+    leading_minors,
 )
 from .series import (
     NonUnitConstantTermError,

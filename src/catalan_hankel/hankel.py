@@ -2,8 +2,9 @@
 
 D(m, k, n) is the determinant of the n x n matrix whose (i, j) entry is
 a[i+j+m][k]; the shift m may be negative, in which case entries at negative
-row indices are 0.  Determinants are evaluated by one-step fraction-free
-(Bareiss) elimination so that every intermediate stays in the coefficient
+row indices are 0.  One fraction-free (Bareiss) elimination of the largest
+matrix yields D(m, k, 0..n) together: by Sylvester's identity each pivot is
+a leading principal minor.  Every intermediate stays in the coefficient
 ring and every internal division is exact.
 """
 
@@ -60,50 +61,70 @@ def hankel_matrix(table, spec: HankelSpec) -> SquareMatrix:
     )
 
 
-def det_fraction_free(matrix: SquareMatrix) -> RingElement:
-    """Exact determinant by Bareiss one-step elimination.
+def leading_minors(matrix: SquareMatrix) -> list:
+    """Determinants of the leading s x s blocks, s = 0..n, in one elimination.
 
-    A zero pivot is repaired by swapping in the first lower row with a
-    nonzero entry in the pivot column (flipping the sign); if none exists
-    the determinant is 0.  The empty matrix has determinant 1.
+    One Bareiss pass.  Up to the sign of the row swaps so far, the pivot
+    before step p is the minor of size p + 1 (Sylvester's identity).  A
+    zero pivot is repaired by swapping in the first lower row r with a
+    nonzero entry in the pivot column, flipping the sign.  A block of size
+    at most r then has a zero column after elimination, so its minor is 0;
+    the horizon is the largest such r so far.  A larger block holds every
+    swapped row and sees exactly this elimination.  With no row to swap
+    in, every larger minor is 0.  The empty block has minor 1.
     """
     n = matrix.n
-    if n == 0:
-        return 1
     rows = [list(row) for row in matrix.entries]
+    minors: list = [1]
     sign = 1
+    horizon = 0
     prev: RingElement = 1
-    for p in range(n - 1):
-        if rows[p][p] == 0:
+    for p in range(n):
+        pivot = rows[p][p]
+        if p < horizon:
+            minors.append(0)
+        else:
+            minors.append(pivot if sign > 0 else -pivot)
+        if pivot == 0:
             for r in range(p + 1, n):
                 if rows[r][p] != 0:
                     rows[p], rows[r] = rows[r], rows[p]
                     sign = -sign
+                    horizon = max(horizon, r)
                     break
             else:
-                return 0
-        pivot = rows[p][p]
-        for i in range(p + 1, n):
-            left = rows[i][p]
-            for j in range(p + 1, n):
-                value = pivot * rows[i][j] - left * rows[p][j]
-                try:
-                    rows[i][j] = exact_div(value, prev)
-                except NotDivisibleError as exc:
-                    raise InternalDivisionError(
-                        f"inexact division at elimination step {p}"
-                    ) from exc
+                return minors + [0] * (n - 1 - p)
+            pivot = rows[p][p]
+        top = rows[p]
+        try:
+            for row in rows[p + 1 :]:
+                left = row[p]
+                for j in range(p + 1, n):
+                    row[j] = exact_div(pivot * row[j] - left * top[j], prev)
+        except NotDivisibleError as exc:
+            raise InternalDivisionError(
+                f"inexact division at elimination step {p}"
+            ) from exc
         prev = pivot
-    result = rows[n - 1][n - 1]
-    return result if sign > 0 else -result
+    return minors
+
+
+def det_fraction_free(matrix: SquareMatrix) -> RingElement:
+    """Exact determinant: the last of the matrix's leading minors."""
+    return leading_minors(matrix)[-1]
+
+
+def hankel_dets(w: WeightSpec, m: int, k: int, n_max: int) -> list:
+    """[D(m, k, n) for n = 0..n_max] from one triangle and one elimination."""
+    if n_max < 0:
+        raise ValueError("matrix size must be >= 0")
+    if n_max == 0:
+        return [1]
+    depth = max(0, 2 * (n_max - 1) + m)
+    table = admissible_table(w, depth)
+    return leading_minors(hankel_matrix(table, HankelSpec(m, k, n_max)))
 
 
 def hankel_det(w: WeightSpec, m: int, k: int, n: int) -> RingElement:
-    """D(m, k, n) for weights w, building the triangle exactly deep enough."""
-    if n < 0:
-        raise ValueError("matrix size must be >= 0")
-    if n == 0:
-        return 1
-    depth = max(0, 2 * (n - 1) + m)
-    table = admissible_table(w, depth)
-    return det_fraction_free(hankel_matrix(table, HankelSpec(m, k, n)))
+    """D(m, k, n) for weights w."""
+    return hankel_dets(w, m, k, n)[n]

@@ -29,7 +29,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .hankel import SquareMatrix, det_fraction_free, hankel_det
+from .hankel import SquareMatrix, hankel_dets, leading_minors
 from .polyfam import fibonacci_poly, lucas_bivariate_at, lucas_poly
 from .ring import RingElement, parity_sign, render
 from .sequences import Constant, Explicit, WeightSpec, admissible_table, column, shift
@@ -142,22 +142,26 @@ def _fib_of_lucas(cval: RingElement, k: int, n: int) -> RingElement:
 # ---------------------------------------------------------------------------
 
 
-def _lemma13_sides(u, v, N, M):
+def _lemma13_sides(u, v, n_max, M):
+    """(lhs, rhs) at (N, M) for every N <= n_max, one elimination per side."""
     lhs_rows = [
-        [u[i + j - M] if i + j - M >= 0 else 0 for j in range(N + M + 1)]
-        for i in range(N + M + 1)
+        [u[i + j - M] if i + j - M >= 0 else 0 for j in range(n_max + M + 1)]
+        for i in range(n_max + M + 1)
     ]
-    rhs_rows = [[v[i + j + M + 2] for j in range(N)] for i in range(N)]
-    lhs = det_fraction_free(SquareMatrix.from_rows(lhs_rows))
-    sign = (-1 if N % 2 else 1) * parity_sign(M)
-    rhs = sign * det_fraction_free(SquareMatrix.from_rows(rhs_rows))
-    return lhs, rhs
+    rhs_rows = [[v[i + j + M + 2] for j in range(n_max)] for i in range(n_max)]
+    lhs = leading_minors(SquareMatrix.from_rows(lhs_rows))
+    rhs = leading_minors(SquareMatrix.from_rows(rhs_rows))
+    sign = parity_sign(M)
+    return [
+        (lhs[N + M + 1], (-sign if N % 2 else sign) * rhs[N])
+        for N in range(n_max + 1)
+    ]
 
 
 def lemma13_sides(u: TruncatedSeries, N: int, M: int):
     """Both exact sides of the identity at a single (N, M)."""
     _require_lemma13(u, N, M)
-    return _lemma13_sides(u, u.reciprocal(), N, M)
+    return _lemma13_sides(u, u.reciprocal(), N, M)[N]
 
 
 def _require_lemma13(u, n_max, m_max):
@@ -175,8 +179,7 @@ def check_lemma13(u: TruncatedSeries, n_max: int, m_max: int) -> CheckReport:
     run = _Run()
     v = u.reciprocal()
     for M in range(m_max + 1):
-        for N in range(n_max + 1):
-            lhs, rhs = _lemma13_sides(u, v, N, M)
+        for N, (lhs, rhs) in enumerate(_lemma13_sides(u, v, n_max, M)):
             run.check({"N": N, "M": M}, lhs, rhs)
     params = {"order": u.order, "n_max": n_max, "m_max": m_max}
     return _report("lemma13", params, run)
@@ -195,8 +198,7 @@ def check_lemma13_random(
         _require_lemma13(u, n_max, m_max)
         v = u.reciprocal()
         for M in range(m_max + 1):
-            for N in range(n_max + 1):
-                lhs, rhs = _lemma13_sides(u, v, N, M)
+            for N, (lhs, rhs) in enumerate(_lemma13_sides(u, v, n_max, M)):
                 run.check({"trial": trial, "N": N, "M": M}, lhs, rhs)
     params = {
         "trials": trials,
@@ -220,12 +222,13 @@ def _theorem1_into(run: _Run, w: WeightSpec, m_max, n_max, extra=()):
     base["weights"] = w.describe()
     for m in range(m_max + 1):
         sgn = parity_sign(m)
+        back = hankel_dets(w, -m, 0, n_max + m + 1)
+        forward = hankel_dets(shifted, m, 0, n_max)
         for n in range(1, m + 1):
-            lhs = hankel_det(w, -m, 0, n)
-            run.check({**base, "clause": "zero-block", "m": m, "n": n}, lhs, 0)
+            run.check({**base, "clause": "zero-block", "m": m, "n": n}, back[n], 0)
         for n in range(n_max + 1):
-            lhs = hankel_det(w, -m, 0, n + m + 1)
-            rhs = sgn * hankel_det(shifted, m, 0, n)
+            lhs = back[n + m + 1]
+            rhs = sgn * forward[n]
             run.check({**base, "clause": "backward-shift", "m": m, "n": n}, lhs, rhs)
 
 
@@ -272,12 +275,13 @@ def check_theorem2(
     for m in range(m_max + 1):
         for k in range(k_max + 1):
             sgn = parity_sign(m + k)
+            back = hankel_dets(w, -m, k, n_max + m + k + 1)
+            forward = hankel_dets(w, m, k, n_max)
             for n in range(1, m + k + 1):
-                lhs = hankel_det(w, -m, k, n)
-                run.check({"clause": "zero-block", "m": m, "k": k, "n": n}, lhs, 0)
+                run.check({"clause": "zero-block", "m": m, "k": k, "n": n}, back[n], 0)
             for n in range(n_max + 1):
-                lhs = hankel_det(w, -m, k, n + m + k + 1)
-                rhs = sgn * hankel_det(w, m, k, n)
+                lhs = back[n + m + k + 1]
+                rhs = sgn * forward[n]
                 run.check(
                     {"clause": "backward-shift", "m": m, "k": k, "n": n}, lhs, rhs
                 )
@@ -298,8 +302,7 @@ def check_corollary6(cval: RingElement, k_max: int, n_max: int) -> CheckReport:
     run = _Run()
     for k in range(k_max + 1):
         sgn = _sgn2(k + 1)
-        for size in range(n_max + 1):
-            lhs = hankel_det(w, 0, k, size)
+        for size, lhs in enumerate(hankel_dets(w, 0, k, n_max)):
             if size % (k + 1) == 0:
                 n = size // (k + 1)
                 run.check(
@@ -329,21 +332,17 @@ def check_identities7_8(
         raise ValueError("bounds must be >= 0")
     w = Constant(cval)
     run = _Run()
+    flat, once, twice = (hankel_dets(w, m, 0, n_max) for m in range(3))
     fib_sq_sum: RingElement = 0
     for n in range(n_max + 1):
         fib = fibonacci_poly(n + 1).evaluate(cval)
         fib_sq_sum = fib_sq_sum + fib * fib
-        run.check({"clause": "flat", "n": n}, hankel_det(w, 0, 0, n), 1)
-        run.check({"clause": "fibonacci", "n": n}, hankel_det(w, 1, 0, n), fib)
-        run.check(
-            {"clause": "fibonacci-square-sum", "n": n},
-            hankel_det(w, 2, 0, n),
-            fib_sq_sum,
-        )
+        run.check({"clause": "flat", "n": n}, flat[n], 1)
+        run.check({"clause": "fibonacci", "n": n}, once[n], fib)
+        run.check({"clause": "fibonacci-square-sum", "n": n}, twice[n], fib_sq_sum)
     for k in range(k_max + 1):
         span = k + 1
-        for size in range(n_max + 1):
-            lhs = hankel_det(w, 1, k, size)
+        for size, lhs in enumerate(hankel_dets(w, 1, k, n_max)):
             r = size % span
             if r == 0:
                 n = size // span
@@ -379,6 +378,11 @@ def check_conjectures9_10(
         raise ValueError("bounds must be >= 0")
     w = Constant(cval)
     run = _Run()
+    # one elimination per (shift, column); eq9 and eq10 share shift 2
+    pairs = {(2, k) for k in range(1, k_max + 1)} | {
+        (m, k) for m in range(m_max + 1) for k in range(max(0, m - 1), k_max + 1)
+    }
+    dets = {(m, k): hankel_dets(w, m, k, n_max) for m, k in pairs}
 
     # guessed closed forms for shift m = 2, columns k >= 1
     for k in range(1, k_max + 1):
@@ -390,8 +394,7 @@ def check_conjectures9_10(
             f = _fib_of_lucas(cval, k, n)
             acc = acc + f * f
             sq_sums.append(acc)
-        for size in range(n_max + 1):
-            lhs = hankel_det(w, 2, k, size)
+        for size, lhs in enumerate(dets[2, k]):
             r = size % span
             if r == 0:
                 n = size // span
@@ -401,7 +404,7 @@ def check_conjectures9_10(
                 run.check({**base, "reading": "n-scaled"}, lhs, _sgn2(k + 1) ** n * f2)
             if r == (k - 1) % span:
                 n = (size - (k - 1)) // span
-                ref = hankel_det(w, 2, k, span * n)
+                ref = dets[2, k][span * n]
                 run.check(
                     {"clause": "eq9.c2", "m": 2, "k": k, "size": size, "n": n},
                     lhs,
@@ -433,7 +436,7 @@ def check_conjectures9_10(
             span = k + 1
             for size in range(0, n_max + 1, span):
                 n = size // span
-                lhs = hankel_det(w, m, k, size)
+                lhs = dets[m, k][size]
                 power = _fib_of_lucas(cval, k, n) ** m
                 base = {"clause": "eq10", "m": m, "k": k, "size": size, "n": n}
                 run.check({**base, "reading": "as-printed"}, lhs, _sgn2(k + 1) * power)
@@ -505,12 +508,11 @@ def check_theorem3(cval: RingElement, k_max: int, n_max: int) -> CheckReport:
     run = _Run()
     for k in range(k_max + 1):
         b = reciprocal_power_coeffs(cval, k, 2 * n_max + 1)
-        for n in range(n_max + 1):
-            rows = [[b[i + j] for j in range(n + 1)] for i in range(n + 1)]
-            lhs = det_fraction_free(SquareMatrix.from_rows(rows))
-            rhs = hankel_det(w, k + 2, k, n)
+        rows = [[b[i + j] for j in range(n_max + 1)] for i in range(n_max + 1)]
+        lhs = leading_minors(SquareMatrix.from_rows(rows))
+        for n, rhs in enumerate(hankel_dets(w, k + 2, k, n_max)):
             if n % 2:
                 rhs = -rhs
-            run.check({"k": k, "n": n}, lhs, rhs)
+            run.check({"k": k, "n": n}, lhs[n + 1], rhs)
     params = {"c": render(cval), "k_max": k_max, "n_max": n_max}
     return _report("theorem3", params, run)

@@ -1,5 +1,8 @@
 """Brute-force oracles, deliberately independent of the library's algorithms."""
 
+from catalan_hankel.hankel import InternalDivisionError, SquareMatrix
+from catalan_hankel.ring import NotDivisibleError, RingElement, exact_div
+
 
 def det_cofactor(rows):
     """Determinant by first-row cofactor expansion."""
@@ -28,3 +31,41 @@ def perm_sign(perm):
         if perm[i] > perm[j]
     )
     return -1 if inversions % 2 else 1
+
+
+def det_bareiss_per_size(matrix: SquareMatrix) -> RingElement:
+    """Exact determinant by Bareiss one-step elimination of this size only.
+
+    A zero pivot is repaired by swapping in the first lower row with a
+    nonzero entry in the pivot column (flipping the sign); if none exists
+    the determinant is 0.  The empty matrix has determinant 1.
+    """
+    n = matrix.n
+    if n == 0:
+        return 1
+    rows = [list(row) for row in matrix.entries]
+    sign = 1
+    prev: RingElement = 1
+    for p in range(n - 1):
+        if rows[p][p] == 0:
+            for r in range(p + 1, n):
+                if rows[r][p] != 0:
+                    rows[p], rows[r] = rows[r], rows[p]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = rows[p][p]
+        for i in range(p + 1, n):
+            left = rows[i][p]
+            for j in range(p + 1, n):
+                value = pivot * rows[i][j] - left * rows[p][j]
+                try:
+                    rows[i][j] = exact_div(value, prev)
+                except NotDivisibleError as exc:
+                    raise InternalDivisionError(
+                        f"inexact division at elimination step {p}"
+                    ) from exc
+        prev = pivot
+    result = rows[n - 1][n - 1]
+    return result if sign > 0 else -result

@@ -9,12 +9,16 @@ from catalan_hankel.hankel import (
     SquareMatrix,
     det_fraction_free,
     hankel_det,
+    hankel_dets,
     hankel_matrix,
+    leading_minors,
 )
 from catalan_hankel.ring import C, eval_at
-from catalan_hankel.sequences import Constant, Explicit, admissible_table
+from catalan_hankel.sequences import Constant, Explicit, admissible_table, shift
 
-from oracles import det_cofactor, perm_sign
+from oracles import det_bareiss_per_size, det_cofactor, perm_sign
+
+ZERO_HEAVY = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3))
 
 
 def test_hankel_matrix_known_block():
@@ -125,6 +129,59 @@ def test_duplicated_row_kills_determinant():
         i, j = rng.sample(range(n), 2)
         rows[i] = list(rows[j])
         assert det_fraction_free(SquareMatrix.from_rows(rows)) == 0
+
+
+@given(
+    st.integers(0, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(ZERO_HEAVY, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_leading_minors_match_cofactor_on_zero_heavy_matrices(rows):
+    blocks = [[row[:s] for row in rows[:s]] for s in range(len(rows) + 1)]
+    minors = leading_minors(SquareMatrix.from_rows(rows))
+    assert minors == [det_cofactor(block) for block in blocks]
+
+
+def test_leading_minors_anti_identity():
+    rows = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    assert leading_minors(SquareMatrix.from_rows(rows)) == [1, 0, 0, -1]
+
+
+def test_leading_minors_zero_below_a_far_swap_row():
+    # the step-0 swap brings in row 3: blocks of size 1..3 have a zero column
+    rows = [[0, 2, 1, 0], [0, 1, 3, 1], [0, 5, 1, 2], [3, 1, 0, 1]]
+    minors = leading_minors(SquareMatrix.from_rows(rows))
+    assert minors == [1, 0, 0, 0, det_cofactor(rows)]
+    assert minors[4] != 0
+
+
+def test_leading_minors_stop_when_no_row_can_be_swapped_in():
+    # after step 0 the pivot column below row 0 is all zero
+    rows = [[1, 2, 3], [2, 4, 5], [3, 6, 7]]
+    assert leading_minors(SquareMatrix.from_rows(rows)) == [1, 1, 0, 0]
+
+
+def test_leading_minors_symbolic_zeros_compare_by_value():
+    # a zero minor over Z[c] may be the zero polynomial rather than int 0
+    assert leading_minors(SquareMatrix.from_rows([[C, 1], [C, 1]])) == [1, C, 0]
+    assert leading_minors(SquareMatrix.from_rows([[0, C], [C, 1]])) == [1, 0, -C * C]
+
+
+HANKEL_WEIGHTS = st.one_of(
+    st.sampled_from((Constant(C), Constant(1), Constant(0))),
+    st.lists(ZERO_HEAVY, max_size=6).map(lambda p: shift(Explicit(tuple(p), 0))),
+)
+
+
+@given(HANKEL_WEIGHTS, st.integers(-4, 4), st.integers(0, 3), st.integers(0, 9))
+def test_hankel_dets_match_per_size_bareiss(w, m, k, n_max):
+    dets = hankel_dets(w, m, k, n_max)
+    assert len(dets) == n_max + 1
+    for n, value in enumerate(dets):
+        table = admissible_table(w, max(0, 2 * (n - 1) + m))
+        assert value == det_bareiss_per_size(hankel_matrix(table, HankelSpec(m, k, n)))
 
 
 def test_hankel_det_size_zero_is_one():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from catalan_hankel import hankel, verify
 from catalan_hankel.hankel import hankel_det
 from catalan_hankel.ring import C, parity_sign
 from catalan_hankel.sequences import Constant, Explicit
@@ -194,6 +195,23 @@ def test_identities7_8_symbolic():
 def test_identities7_8_more_weights():
     for cval in (-2, 0, 2, 3):
         assert check_identities7_8(cval, 2, 10).status == "verified"
+
+
+def test_checkers_eliminate_once_per_shift_and_column(monkeypatch):
+    sizes = []
+    real = hankel.leading_minors
+
+    def counting(matrix):
+        sizes.append(matrix.n)
+        return real(matrix)
+
+    for module in (hankel, verify):
+        monkeypatch.setattr(module, "leading_minors", counting)
+    assert check_corollary6(1, 6, 30).status == "verified"
+    assert len(sizes) == 7  # one per column k
+    sizes.clear()
+    assert check_identities7_8(1, 3, 24).status == "verified"
+    assert len(sizes) == 3 + 4  # shifts 0..2 of column 0, then shift 1 per k
 
 
 # -- conjectures ------------------------------------------------------------
