@@ -39,6 +39,7 @@ from .hankel import (
 from .series import (
     NonUnitConstantTermError,
     TruncatedSeries,
+    motzkin_power,
     motzkin_series,
     reciprocal_power_coeffs,
 )

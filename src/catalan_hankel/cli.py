@@ -1,22 +1,24 @@
 """Command-line interface: sequence dumps, determinants, series, verification.
 
 Exit codes: 0 for success (and, for verify, every claim verified), 1 when a
-verification run records failures or refutations, 2 for usage errors.
-Computation results go to stdout, diagnostics to stderr.
+verification run records failures or refutations, 2 for usage errors and
+for arithmetic faults (an inexact or zero division).  Computation results
+go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import sys
 
-from .hankel import hankel_det
+from .hankel import InternalDivisionError, hankel_det
 from .ring import C, Polynomial, render
 from .sequences import admissible_table, column, parse_weight_spec
-from .series import motzkin_series, reciprocal_power_coeffs
+from .series import motzkin_power
 from . import verify as verify_mod
 from .verify import CLAIM_IDS, CheckReport
 
@@ -31,6 +33,12 @@ VERIFY_DEFAULTS = {
     "series_identities": {"k_max": 4, "order": 16},
     "theorem3": {"k_max": 3, "n_max": 5},
 }
+
+#: Largest `series --k` accepted: A^(k+1) and 1/A^(k+1) cost about k+1
+#: passes over the series.
+SERIES_MAX_K = 1000
+#: Largest `series --order` accepted.
+SERIES_MAX_ORDER = 10000
 
 _WITNESS_LINE_CAP = 50
 
@@ -207,15 +215,13 @@ def _cmd_det(ns) -> int:
 
 
 def _cmd_series(ns) -> int:
-    if ns.order < 1:
-        raise ValueError("--order must be >= 1")
-    if ns.k < 0:
-        raise ValueError("--k must be >= 0")
+    if not 1 <= ns.order <= SERIES_MAX_ORDER:
+        raise ValueError(f"--order must be in 1..{SERIES_MAX_ORDER}")
+    if not 0 <= ns.k <= SERIES_MAX_K:
+        raise ValueError(f"--k must be in 0..{SERIES_MAX_K}")
     cval = _parse_c(ns.c)
-    if ns.reciprocal:
-        values = list(reciprocal_power_coeffs(cval, ns.k, ns.order))
-    else:
-        values = list((motzkin_series(cval, ns.order) ** (ns.k + 1)).coeffs)
+    exponent = -(ns.k + 1) if ns.reciprocal else ns.k + 1
+    values = motzkin_power(cval, exponent, ns.order).coeffs
     meta = {"c": render(cval), "k": ns.k, "reciprocal": ns.reciprocal, "order": ns.order}
     print(_format_values(values, ns.format, meta))
     return 0
@@ -286,6 +292,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    # exact results can exceed the int-to-str digit limit (CPython 3.10.7+);
+    # lift it for one command and give the caller back its own setting
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -293,8 +314,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return ns.func(ns)
-    except ValueError as exc:
+        with _unlimited_int_digits():
+            return ns.func(ns)
+    except (ValueError, ArithmeticError, InternalDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

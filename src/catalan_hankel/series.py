@@ -6,14 +6,22 @@ shorter one.  Coefficients are ring elements (ints or Polynomials in c) and
 a series is kept homogeneous: one Polynomial coefficient coerces the rest.
 
 The generating function A(x) = sum a_n x^n of weighted Motzkin paths with
-constant level weight c satisfies A = 1 + c*x*A + x^2*A^2, which yields the
-coefficient recurrence used by motzkin_series; the closed radical form is
-never used (square roots leave the ring).
+constant level weight c satisfies A = 1 + c*x*A + x^2*A^2.  A is algebraic,
+hence D-finite (Stanley 1980), and its coefficients obey the P-recurrence
+
+    (n+2) a_n = c(2n+1) a_{n-1} - (c^2-4)(n-1) a_{n-2},   a_0 = 1, a_1 = c,
+
+whose division by n+2 is exact over the ring.  Multiplying the quadratic by
+A^j gives x^2 A^{j+2} = (1 - c*x) A^{j+1} - A^j for every integer j, a
+linear recurrence that walks from A^0 = 1 and A^1 = A up to any positive
+power or down to any reciprocal power.  motzkin_power combines the two, so
+A^e costs O(order + |e| * order) ring operations; the closed radical form
+is never used (square roots leave the ring).
 """
 
 from __future__ import annotations
 
-from .ring import Polynomial, RingElement, as_poly
+from .ring import Polynomial, RingElement, as_poly, exact_div
 
 
 class NonUnitConstantTermError(ValueError):
@@ -164,27 +172,54 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
 
-def motzkin_series(cval: RingElement, order: int) -> TruncatedSeries:
-    """A(x) with constant level weight cval, to the given order.
+def _motzkin_coeffs(cval: RingElement, order: int) -> list:
+    """a_0..a_{order-1} of A by the P-recurrence; the n+2 divides exactly."""
+    coeffs: list = [1, cval][:order]
+    disc = cval * cval - 4
+    for n in range(2, order):
+        num = (2 * n + 1) * cval * coeffs[n - 1] - (n - 1) * disc * coeffs[n - 2]
+        coeffs.append(exact_div(num, n + 2))
+    return coeffs
 
-    Coefficient recurrence from A = 1 + c*x*A + x^2*A^2:
-    a_0 = 1, a_n = c*a_{n-1} + sum_{j=0}^{n-2} a_j a_{n-2-j}.
-    Coefficient n equals the triangle entry a[n][0] for the constant spec.
+
+def motzkin_power(cval: RingElement, exponent: int, order: int) -> TruncatedSeries:
+    """A(x)**exponent with constant level weight cval, for any integer exponent.
+
+    Uses x^2 A^{j+2} = (1 - c*x) A^{j+1} - A^j.  Going up, coefficient n of
+    A^{j+2} is [x^{n+2}]A^{j+1} - c [x^{n+1}]A^{j+1} - [x^{n+2}]A^j, so each
+    step loses two coefficients and A is computed to order + 2(exponent-1).
+    Going down, A^j = (1 - c*x) A^{j+1} - x^2 A^{j+2} needs no extra terms.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    coeffs: list = [1]
-    for n in range(1, order):
-        acc = cval * coeffs[n - 1]
-        for j in range(n - 1):
-            acc = acc + coeffs[j] * coeffs[n - 2 - j]
-        coeffs.append(acc)
-    return TruncatedSeries(coeffs)
+    if exponent >= 1:
+        # hi = A^{j+1}, lo = A^j, starting from A^1 and A^0
+        hi = _motzkin_coeffs(cval, order + 2 * (exponent - 1))
+        lo = [1] + [0] * (len(hi) - 1)
+        for _ in range(exponent - 1):
+            up = [hi[n + 2] - cval * hi[n + 1] - lo[n + 2] for n in range(len(hi) - 2)]
+            hi, lo = up, hi
+        return TruncatedSeries(hi)
+    # hi = A^{j+2}, lo = A^{j+1}, starting from A^1 and A^0
+    hi = _motzkin_coeffs(cval, order)
+    lo = [1] + [0] * (order - 1)
+    for _ in range(-exponent):
+        lo_x, hi_x2 = [0] + lo, [0, 0] + hi
+        down = [lo[n] - cval * lo_x[n] - hi_x2[n] for n in range(order)]
+        hi, lo = lo, down
+    return TruncatedSeries(lo)
+
+
+def motzkin_series(cval: RingElement, order: int) -> TruncatedSeries:
+    """A(x) with constant level weight cval, to the given order.
+
+    Coefficient n equals the triangle entry a[n][0] for the constant spec.
+    """
+    return motzkin_power(cval, 1, order)
 
 
 def reciprocal_power_coeffs(cval: RingElement, k: int, order: int) -> tuple:
     """Coefficients b_0..b_{order-1} of 1 / A(x)**(k+1)."""
     if k < 0:
         raise ValueError("power index must be >= 0")
-    a = motzkin_series(cval, order)
-    return (a ** (k + 1)).reciprocal().coeffs
+    return motzkin_power(cval, -(k + 1), order).coeffs

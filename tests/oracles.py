@@ -2,6 +2,7 @@
 
 from catalan_hankel.hankel import InternalDivisionError, SquareMatrix
 from catalan_hankel.ring import NotDivisibleError, RingElement, exact_div
+from catalan_hankel.series import TruncatedSeries
 
 
 def det_cofactor(rows):
@@ -69,3 +70,21 @@ def det_bareiss_per_size(matrix: SquareMatrix) -> RingElement:
         prev = pivot
     result = rows[n - 1][n - 1]
     return result if sign > 0 else -result
+
+
+def motzkin_series_quadratic(cval: RingElement, order: int) -> TruncatedSeries:
+    """A(x) with constant level weight cval, to the given order.
+
+    Coefficient recurrence from A = 1 + c*x*A + x^2*A^2:
+    a_0 = 1, a_n = c*a_{n-1} + sum_{j=0}^{n-2} a_j a_{n-2-j}.
+    Coefficient n equals the triangle entry a[n][0] for the constant spec.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    coeffs: list = [1]
+    for n in range(1, order):
+        acc = cval * coeffs[n - 1]
+        for j in range(n - 1):
+            acc = acc + coeffs[j] * coeffs[n - 2 - j]
+        coeffs.append(acc)
+    return TruncatedSeries(coeffs)

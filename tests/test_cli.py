@@ -4,7 +4,11 @@ import sys
 
 import pytest
 
-from catalan_hankel.cli import emit_report, main
+from catalan_hankel import cli, hankel
+from catalan_hankel.cli import SERIES_MAX_K, SERIES_MAX_ORDER, emit_report, main
+from catalan_hankel.hankel import InternalDivisionError
+from catalan_hankel.ring import NotDivisibleError
+from catalan_hankel.series import motzkin_power
 from catalan_hankel.verify import check_conjectures9_10, check_theorem3
 
 
@@ -81,6 +85,73 @@ def test_series_symbolic_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["values"] == [1, "c", "1 + c^2"]
+
+
+def test_series_exact_beyond_int_str_digit_limit(capsys):
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)  # CPython's default
+        code, out, _ = run_cli(capsys, "series", "--c", "100", "--order", "2200", "--format", "json")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == 4300  # main leaves no process-wide state
+        last = out.rstrip().splitlines()[-3].strip()
+        assert len(last) > 4300
+        sys.set_int_max_str_digits(0)
+        assert int(last) == motzkin_power(100, 1, 2200)[2199]
+        assert str(int(last)) == last
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_series_k_ceiling(capsys):
+    code, out, _ = run_cli(
+        capsys, "series", "--k", str(SERIES_MAX_K), "--reciprocal", "--order", "2"
+    )
+    assert code == 0
+    assert out.strip() == f"1,{-(SERIES_MAX_K + 1)}"
+
+
+def test_series_order_ceiling(capsys):
+    code, out, _ = run_cli(capsys, "series", "--c", "0", "--order", str(SERIES_MAX_ORDER))
+    assert code == 0
+    assert len(out.split(",")) == SERIES_MAX_ORDER
+
+
+def test_series_rejects_values_above_the_ceilings_before_any_work(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("series kernel called")
+
+    monkeypatch.setattr(cli, "motzkin_power", no_work)
+    for flag, value in (("--k", SERIES_MAX_K + 1), ("--order", SERIES_MAX_ORDER + 1)):
+        code, out, err = run_cli(capsys, "series", flag, str(value))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be in ")
+
+
+@pytest.mark.parametrize(
+    "exc", [NotDivisibleError("7 is not divisible by 2"), ZeroDivisionError("division by zero")]
+)
+def test_series_arithmetic_fault_exits_two(capsys, monkeypatch, exc):
+    def failing(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "motzkin_power", failing)
+    code, out, err = run_cli(capsys, "series", "--order", "4")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {exc}\n"
+
+
+def test_det_internal_division_error_exits_two(capsys, monkeypatch):
+    def failing(matrix):
+        raise InternalDivisionError("inexact division at elimination step 0")
+
+    monkeypatch.setattr(hankel, "leading_minors", failing)
+    code, out, err = run_cli(capsys, "det", "--weights", "const:1", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: inexact division at elimination step 0\n"
 
 
 def test_table_text(capsys):

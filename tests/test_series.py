@@ -6,13 +6,17 @@ from catalan_hankel.sequences import Constant, admissible_table, column
 from catalan_hankel.series import (
     NonUnitConstantTermError,
     TruncatedSeries,
+    motzkin_power,
     motzkin_series,
     reciprocal_power_coeffs,
 )
+from oracles import motzkin_series_quadratic
 
 unit_series = st.lists(st.integers(-4, 4), min_size=3, max_size=12).map(
     lambda tail: TruncatedSeries([1] + tail)
 )
+# level weights for the P-recursive kernel: small ints and the symbol c
+level_weights = st.sampled_from(list(range(-5, 6)) + [C])
 
 
 def test_mul_basic():
@@ -167,3 +171,57 @@ def test_quadratic_residual_vanishes():
             + TruncatedSeries.one(order)
         )
         assert all(v == 0 for v in residual.coeffs)
+
+
+# -- P-recursive kernel vs the quadratic oracle --------------------------------
+
+
+@given(level_weights, st.integers(1, 80))
+def test_motzkin_power_one_matches_quadratic_oracle(cval, order):
+    assert motzkin_power(cval, 1, order) == motzkin_series_quadratic(cval, order)
+
+
+@given(level_weights, st.integers(0, 6), st.integers(1, 40))
+def test_motzkin_power_matches_oracle_powers(cval, exponent, order):
+    expected = motzkin_series_quadratic(cval, order) ** exponent
+    assert motzkin_power(cval, exponent, order) == expected
+
+
+@given(level_weights, st.integers(-6, -1), st.integers(1, 40))
+def test_motzkin_power_matches_oracle_reciprocal_powers(cval, exponent, order):
+    expected = (motzkin_series_quadratic(cval, order) ** -exponent).reciprocal()
+    assert motzkin_power(cval, exponent, order) == expected
+
+
+def test_motzkin_power_orders_one_and_two():
+    for cval in (-2, 0, 1, 2, 3, C):
+        for exponent in range(-4, 5):
+            assert motzkin_power(cval, exponent, 1).coeffs == (1,)
+            assert motzkin_power(cval, exponent, 2).coeffs == (1, exponent * cval)
+
+
+def test_motzkin_power_where_c_squared_minus_four_vanishes():
+    # c = +-2 drops the a_{n-2} term of the P-recurrence; a_n = (+-1)^n Catalan(n+1)
+    catalan_shifted = (1, 2, 5, 14, 42, 132, 429, 1430)
+    assert motzkin_power(2, 1, 8).coeffs == catalan_shifted
+    assert motzkin_power(-2, 1, 8).coeffs == tuple(
+        v if n % 2 == 0 else -v for n, v in enumerate(catalan_shifted)
+    )
+    # 1/A = 1 - c x - x^2 A
+    assert motzkin_power(2, -1, 6).coeffs == (1, -2, -1, -2, -5, -14)
+    assert motzkin_power(-2, -1, 6).coeffs == (1, 2, -1, 2, -5, 14)
+
+
+def test_motzkin_power_zero_weight_is_aerated_catalan():
+    assert motzkin_power(0, 1, 9).coeffs == (1, 0, 1, 0, 2, 0, 5, 0, 14)
+    assert motzkin_power(0, 2, 9).coeffs == (1, 0, 2, 0, 5, 0, 14, 0, 42)
+    assert motzkin_power(0, -1, 9).coeffs == (1, 0, -1, 0, -1, 0, -2, 0, -5)
+
+
+def test_motzkin_power_zero_exponent_is_one():
+    assert motzkin_power(C, 0, 4).coeffs == (1, 0, 0, 0)
+
+
+def test_motzkin_power_needs_a_constant_term():
+    with pytest.raises(ValueError):
+        motzkin_power(1, 3, 0)

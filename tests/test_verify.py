@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from catalan_hankel import hankel, verify
+from catalan_hankel import hankel, series, verify
 from catalan_hankel.hankel import hankel_det
 from catalan_hankel.ring import C, parity_sign
 from catalan_hankel.sequences import Constant, Explicit
@@ -284,6 +284,22 @@ def test_series_identities_order_precondition():
         check_series_identities(1, 4, 10)
 
 
+def test_series_identities_build_powers_generically(monkeypatch):
+    # the clauses cross-check the P-recursive kernel only while their powers
+    # and reciprocals come from generic multiplication and .reciprocal()
+    exponents = []
+    real = series.motzkin_power
+
+    def counting(cval, exponent, order):
+        exponents.append(exponent)
+        return real(cval, exponent, order)
+
+    monkeypatch.setattr(series, "motzkin_power", counting)
+    monkeypatch.setattr(verify, "motzkin_power", counting, raising=False)
+    assert check_series_identities(C, 4, 16).status == "verified"
+    assert exponents == [1]  # A itself, through motzkin_series
+
+
 def test_flat_reciprocal_plus_shift_is_affine():
     # k = 0 case of the reciprocal identity: 1/A + x^2 A = 1 - c x
     order = 12
@@ -306,6 +322,22 @@ def test_theorem3_numeric_and_symbolic():
     for cval in (0, 2):
         assert check_theorem3(cval, 3, 5).status == "verified"
     assert check_theorem3(C, 2, 3).status == "verified"
+
+
+def test_theorem3_symbolic_agrees_with_hankel_dets(monkeypatch):
+    # b_{n,k} come from the downward power recurrence; the grid must agree
+    # with (-1)^n D(k+2, k, n), and a perturbed b must be caught
+    report = check_theorem3(C, 3, 7)
+    assert report.status == "verified"
+    assert report.instances_tested == 4 * 8
+    real = verify.reciprocal_power_coeffs
+
+    def perturbed(cval, k, order):
+        b = real(cval, k, order)
+        return b[:-1] + (b[-1] + 1,)
+
+    monkeypatch.setattr(verify, "reciprocal_power_coeffs", perturbed)
+    assert check_theorem3(C, 3, 7).status == "refuted"
 
 
 # -- report plumbing --------------------------------------------------------
