@@ -28,29 +28,30 @@ SEED = 20260809
 
 
 def runs():
-    yield "lemma13", "random100", check_lemma13_random(100, SEED, 20, 4, 3)
-    yield "theorem1", "random40", check_theorem1_random(40, SEED, 4, 6)
+    yield "random100", check_lemma13_random(100, SEED, 20, 4, 3)
+    yield "random40", check_theorem1_random(40, SEED, 4, 6)
     for cval, tag in ((-2, "cm2"), (-1, "cm1"), (0, "c0"), (1, "c1"), (2, "c2"), (3, "c3")):
-        yield "theorem2", tag, check_theorem2(cval, 3, 3, 5)
-    yield "theorem2", "sym", check_theorem2(C, 2, 2, 4)
+        yield tag, check_theorem2(cval, 3, 3, 5)
+    yield "sym", check_theorem2(C, 2, 2, 4)
     for cval, tag in ((0, "c0"), (1, "c1"), (2, "c2"), (C, "sym")):
-        yield "corollary6", tag, check_corollary6(cval, 4, 15)
-    yield "identities7_8", "c1", check_identities7_8(1, 3, 12)
-    yield "identities7_8", "sym", check_identities7_8(C, 3, 9)
-    yield "conjectures9_10", "c1", check_conjectures9_10(1, 3, 3, 12)
-    yield "conjectures9_10", "c2", check_conjectures9_10(2, 3, 3, 12)
+        yield tag, check_corollary6(cval, 4, 15)
+    yield "c1", check_identities7_8(1, 3, 12)
+    yield "sym", check_identities7_8(C, 3, 9)
+    yield "c1", check_conjectures9_10(1, 3, 3, 12)
+    yield "c2", check_conjectures9_10(2, 3, 3, 12)
     for cval, tag in ((0, "c0"), (1, "c1"), (2, "c2"), (C, "sym")):
-        yield "series_identities", tag, check_series_identities(cval, 4, 16)
+        yield tag, check_series_identities(cval, 4, 16)
     for cval, tag in ((0, "c0"), (1, "c1"), (2, "c2")):
-        yield "theorem3", tag, check_theorem3(cval, 3, 5)
-    yield "theorem3", "sym", check_theorem3(C, 2, 4)
+        yield tag, check_theorem3(cval, 3, 5)
+    yield "sym", check_theorem3(C, 2, 4)
 
 
 def main():
     out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out")
     out_dir.mkdir(parents=True, exist_ok=True)
     hard_failures = 0
-    for claim, tag, report in runs():
+    for tag, report in runs():
+        claim = report.claim_id
         path = out_dir / f"{claim}__{tag}.json"
         path.write_text(report.to_json() + "\n")
         print(

@@ -51,18 +51,11 @@ from .polyfam import (
 )
 from .verify import (
     CLAIM_IDS,
+    CLAIMS,
     CheckReport,
     Witness,
-    check_conjectures9_10,
-    check_corollary6,
-    check_identities7_8,
     check_lemma13,
-    check_lemma13_random,
-    check_series_identities,
     check_theorem1,
-    check_theorem1_random,
-    check_theorem2,
-    check_theorem3,
     lemma13_sides,
 )
 

@@ -20,25 +20,25 @@ from .ring import C, Polynomial, render
 from .sequences import admissible_table, column, parse_weight_spec
 from .series import motzkin_power
 from . import verify as verify_mod
-from .verify import CLAIM_IDS, CheckReport
-
-#: Grid bounds used when a verify flag is left unset, per claim.
-VERIFY_DEFAULTS = {
-    "lemma13": {"trials": 100, "order": 20, "n_max": 4, "m_max": 3},
-    "theorem1": {"trials": 40, "m_max": 3, "n_max": 6},
-    "theorem2": {"m_max": 3, "k_max": 3, "n_max": 5},
-    "corollary6": {"k_max": 4, "n_max": 15},
-    "identities7_8": {"k_max": 3, "n_max": 8},
-    "conjectures9_10": {"m_max": 3, "k_max": 3, "n_max": 8},
-    "series_identities": {"k_max": 4, "order": 16},
-    "theorem3": {"k_max": 3, "n_max": 5},
-}
+from .verify import CLAIM_IDS, CLAIMS, CheckReport
 
 #: Largest `series --k` accepted: A^(k+1) and 1/A^(k+1) cost about k+1
 #: passes over the series.
 SERIES_MAX_K = 1000
 #: Largest `series --order` accepted.
 SERIES_MAX_ORDER = 10000
+#: Bound on (k + 16) * (order + 2k)**3 for `series --c sym`: coefficient n
+#: is a polynomial of degree n, each of the k + 1 passes costs about
+#: length**3 (lengths up to order + 2k) and printing about 15 more.  Order
+#: 1400 at k 0: 18 s, 0.8 GB; the slowest shapes (order 1028 at k 20): 65 s.
+SERIES_MAX_SYMBOLIC_WORK = 16 * 1400**3
+#: Largest `seq --n` (const:1: 2.3 s, 0.5 GB), `table --n-max` (const:1 as
+#: json: 2 s, 0.35 GB) and `det --n` (const:3: 9 s) accepted; `det` is also
+#: held to TABLE_MAX_N for the triangle depth 2(n-1)+m it builds.
+SEQ_MAX_N, TABLE_MAX_N, DET_MAX_N = 2000, 1000, 300
+#: Weights holding c admit a fifth of each of those: entries are then
+#: polynomials (const:c: `seq --n 400` 6 s and 0.55 GB, `det --n 60` 25 s).
+SYMBOLIC_SHARE = 5
 
 _WITNESS_LINE_CAP = 50
 
@@ -119,53 +119,45 @@ def emit_report(report: CheckReport, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _verify_options(ns, claim):
-    defaults = VERIFY_DEFAULTS[claim]
-
-    def pick(name):
-        value = getattr(ns, name)
-        return defaults.get(name) if value is None else value
-
-    return {
-        name: pick(name) for name in ("trials", "order", "m_max", "k_max", "n_max")
-    }
+#: verify flags that set grid bounds, by argparse dest
+_BOUND_FLAGS = ("trials", "order", "m_max", "k_max", "n_max")
 
 
-def _run_claim(ns, claim) -> CheckReport:
-    opts = _verify_options(ns, claim)
-    cval = _parse_c(ns.c)
-    if claim == "lemma13":
-        return verify_mod.check_lemma13_random(
-            opts["trials"], ns.rng_seed, opts["order"], opts["n_max"], opts["m_max"]
-        )
-    if claim == "theorem1":
-        if ns.weights is not None:
-            w = parse_weight_spec(ns.weights)
-            return verify_mod.check_theorem1(w, opts["m_max"], opts["n_max"])
-        return verify_mod.check_theorem1_random(
-            opts["trials"], ns.rng_seed, opts["m_max"], opts["n_max"]
-        )
-    if claim == "theorem2":
-        return verify_mod.check_theorem2(
-            cval, opts["m_max"], opts["k_max"], opts["n_max"]
-        )
-    if claim == "corollary6":
-        return verify_mod.check_corollary6(cval, opts["k_max"], opts["n_max"])
-    if claim == "identities7_8":
-        return verify_mod.check_identities7_8(cval, opts["k_max"], opts["n_max"])
-    if claim == "conjectures9_10":
-        return verify_mod.check_conjectures9_10(
-            cval, opts["m_max"], opts["k_max"], opts["n_max"]
-        )
-    if claim == "series_identities":
-        return verify_mod.check_series_identities(cval, opts["k_max"], opts["order"])
-    return verify_mod.check_theorem3(cval, opts["k_max"], opts["n_max"])
+def _run_claim(ns, claim_id, cval) -> CheckReport:
+    """Run one claim, unset bounds at its defaults; a claim named alone
+    rejects flags it does not take.  Only theorem1 takes --weights, which
+    replaces its random trials by that one weight spec."""
+    claim = CLAIMS[claim_id]
+    weights = ns.weights if claim_id == "theorem1" else None
+    taken = [n for n in claim.defaults if weights is None or n != "trials"]
+    unused = [n for n in _BOUND_FLAGS if getattr(ns, n) is not None and n not in taken]
+    unused += ["weights"] if ns.weights is not None and weights is None else []
+    if unused and ns.claim != "all":
+        flags = ", ".join("--" + n.replace("_", "-") for n in unused)
+        where = "" if weights is None else " --weights"
+        raise ValueError(f"verify {claim_id}{where} does not take {flags}")
+    bounds = {n: claim.defaults[n] if getattr(ns, n) is None else getattr(ns, n) for n in taken}
+    if weights is not None:
+        return verify_mod.check_theorem1(parse_weight_spec(weights), **bounds)
+    lead = ns.rng_seed if claim.arg == "seed" else cval
+    return claim.check(**{claim.arg: lead}, **bounds)
+
+
+def _check_range(name, value, lo, hi, w=None, depth=0):
+    """Reject value outside lo..hi before any work, or above
+    hi // SYMBOLIC_SHARE when w holds c at a height in 0..depth."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be in {lo}..{hi}")
+    hi //= SYMBOLIC_SHARE
+    if value > hi and w is not None and any(
+        isinstance(w.at(j), Polynomial) for j in range(depth + 1)
+    ):
+        raise ValueError(f"{name} must be in {lo}..{hi} for weights holding c")
 
 
 def _cmd_seq(ns) -> int:
-    if ns.n < 1:
-        raise ValueError("--n must be >= 1 (number of terms)")
     w = parse_weight_spec(ns.weights)
+    _check_range("--n", ns.n, 1, SEQ_MAX_N, w, ns.n - 1)
     table = admissible_table(w, ns.n - 1)
     values = [column(table, ns.k, n) for n in range(ns.n)]
     meta = {"weights": w.describe(), "k": ns.k}
@@ -174,9 +166,8 @@ def _cmd_seq(ns) -> int:
 
 
 def _cmd_table(ns) -> int:
-    if ns.n_max < 0:
-        raise ValueError("--n-max must be >= 0")
     w = parse_weight_spec(ns.weights)
+    _check_range("--n-max", ns.n_max, 0, TABLE_MAX_N, w, ns.n_max)
     table = admissible_table(w, ns.n_max)
     if ns.format == "text":
         for n, row in enumerate(table.rows):
@@ -199,6 +190,9 @@ def _cmd_table(ns) -> int:
 
 def _cmd_det(ns) -> int:
     w = parse_weight_spec(ns.weights)
+    depth = max(0, 2 * (ns.n - 1) + ns.m)
+    _check_range("the triangle depth 2(n-1)+m", depth, 0, TABLE_MAX_N, w, depth)
+    _check_range("--n", ns.n, 0, DET_MAX_N, w, depth)
     value = hankel_det(w, ns.m, ns.k, ns.n)
     if ns.format == "json":
         payload = {
@@ -215,11 +209,13 @@ def _cmd_det(ns) -> int:
 
 
 def _cmd_series(ns) -> int:
-    if not 1 <= ns.order <= SERIES_MAX_ORDER:
-        raise ValueError(f"--order must be in 1..{SERIES_MAX_ORDER}")
-    if not 0 <= ns.k <= SERIES_MAX_K:
-        raise ValueError(f"--k must be in 0..{SERIES_MAX_K}")
+    _check_range("--order", ns.order, 1, SERIES_MAX_ORDER)
+    _check_range("--k", ns.k, 0, SERIES_MAX_K)
     cval = _parse_c(ns.c)
+    if isinstance(cval, Polynomial) and (
+        (ns.k + 16) * (ns.order + 2 * ns.k) ** 3 > SERIES_MAX_SYMBOLIC_WORK
+    ):
+        raise ValueError(f"--c sym needs (k + 16) * (order + 2k)**3 <= {SERIES_MAX_SYMBOLIC_WORK}")
     exponent = -(ns.k + 1) if ns.reciprocal else ns.k + 1
     values = motzkin_power(cval, exponent, ns.order).coeffs
     meta = {"c": render(cval), "k": ns.k, "reciprocal": ns.reciprocal, "order": ns.order}
@@ -228,8 +224,9 @@ def _cmd_series(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
-    claims = list(CLAIM_IDS) if ns.claim == "all" else [ns.claim]
-    reports = [_run_claim(ns, claim) for claim in claims]
+    cval = _parse_c(ns.c)
+    claims = CLAIM_IDS if ns.claim == "all" else [ns.claim]
+    reports = [_run_claim(ns, claim, cval) for claim in claims]
     if ns.format == "json" and len(reports) > 1:
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:

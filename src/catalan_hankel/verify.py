@@ -5,16 +5,9 @@ CheckReport: how many instances were compared, and a Witness (parameters
 plus both rendered sides) for every instance where the two sides differ.
 Equalities are exact; nothing is ever asserted from a formula alone.
 
-Claim ids:
-
-* ``lemma13``            reciprocal-series determinant identity
-* ``theorem1``           backward shift vs forward shift, column 0
-* ``theorem2``           backward shift for constant weights, any column
-* ``corollary6``         periodic sign pattern of unshifted determinants
-* ``identities7_8``      Fibonacci / Lucas closed forms for shift 1
-* ``conjectures9_10``    open closed-form guesses for shift m >= 2
-* ``series_identities``  generating-function identities
-* ``theorem3``           reciprocal-power Hankel transfer
+Each claim id is a key of ``CLAIMS`` (end of this module), which pairs it
+with its checker and the grid the checker runs when a bound is left unset;
+the comment that opens each checker's section states the claim.
 
 The two conjecture families are *reported*, never assumed: each
 sign-bearing clause is evaluated under every plausible reading of its sign
@@ -28,24 +21,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .hankel import SquareMatrix, hankel_dets, leading_minors
 from .polyfam import fibonacci_poly, lucas_bivariate_at, lucas_poly
 from .ring import RingElement, parity_sign, render
 from .sequences import Constant, Explicit, WeightSpec, admissible_table, column, shift
 from .series import TruncatedSeries, motzkin_series, reciprocal_power_coeffs
-
-CLAIM_IDS = (
-    "lemma13",
-    "theorem1",
-    "theorem2",
-    "corollary6",
-    "identities7_8",
-    "conjectures9_10",
-    "series_identities",
-    "theorem3",
-)
-
 
 @dataclass
 class Witness:
@@ -173,20 +155,25 @@ def _require_lemma13(u, n_max, m_max):
         )
 
 
-def check_lemma13(u: TruncatedSeries, n_max: int, m_max: int) -> CheckReport:
-    """Verify the identity for all 0 <= N <= n_max, 0 <= M <= m_max."""
+def _lemma13_into(run: _Run, u, n_max, m_max, extra=()):
     _require_lemma13(u, n_max, m_max)
-    run = _Run()
+    base = dict(extra)
     v = u.reciprocal()
     for M in range(m_max + 1):
         for N, (lhs, rhs) in enumerate(_lemma13_sides(u, v, n_max, M)):
-            run.check({"N": N, "M": M}, lhs, rhs)
+            run.check({**base, "N": N, "M": M}, lhs, rhs)
+
+
+def check_lemma13(u: TruncatedSeries, n_max: int, m_max: int) -> CheckReport:
+    """Verify the identity for all 0 <= N <= n_max, 0 <= M <= m_max."""
+    run = _Run()
+    _lemma13_into(run, u, n_max, m_max)
     params = {"order": u.order, "n_max": n_max, "m_max": m_max}
     return _report("lemma13", params, run)
 
 
 def check_lemma13_random(
-    trials: int, seed: int, order: int = 20, n_max: int = 4, m_max: int = 3
+    trials: int, seed: int, order: int, n_max: int, m_max: int
 ) -> CheckReport:
     """Property run over seeded random unit series (coefficients in [-4, 4])."""
     if trials < 1:
@@ -195,11 +182,7 @@ def check_lemma13_random(
     run = _Run()
     for trial in range(trials):
         u = TruncatedSeries([1] + [rng.randint(-4, 4) for _ in range(order - 1)])
-        _require_lemma13(u, n_max, m_max)
-        v = u.reciprocal()
-        for M in range(m_max + 1):
-            for N, (lhs, rhs) in enumerate(_lemma13_sides(u, v, n_max, M)):
-                run.check({"trial": trial, "N": N, "M": M}, lhs, rhs)
+        _lemma13_into(run, u, n_max, m_max, extra={"trial": trial})
     params = {
         "trials": trials,
         "seed": seed,
@@ -242,9 +225,7 @@ def check_theorem1(w: WeightSpec, m_max: int, n_max: int) -> CheckReport:
     return _report("theorem1", params, run)
 
 
-def check_theorem1_random(
-    trials: int, seed: int, m_max: int = 4, n_max: int = 6
-) -> CheckReport:
+def check_theorem1_random(trials: int, seed: int, m_max: int, n_max: int) -> CheckReport:
     """Seeded random integer weight specs: prefix 8 in [-3, 3], tail 0."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -516,3 +497,26 @@ def check_theorem3(cval: RingElement, k_max: int, n_max: int) -> CheckReport:
             run.check({"k": k, "n": n}, lhs[n + 1], rhs)
     params = {"c": render(cval), "k_max": k_max, "n_max": n_max}
     return _report("theorem3", params, run)
+
+
+@dataclass(frozen=True)
+class Claim:
+    """A checker, called as ``check(**{arg: value}, **bounds)`` with ``arg``
+    ``"cval"`` (level weight) or ``"seed"``, and each bound's default."""
+
+    check: Callable[..., CheckReport]
+    arg: str
+    defaults: dict
+
+
+CLAIMS = {
+    "lemma13": Claim(check_lemma13_random, "seed", dict(trials=100, order=20, n_max=4, m_max=3)),
+    "theorem1": Claim(check_theorem1_random, "seed", dict(trials=40, m_max=3, n_max=6)),
+    "theorem2": Claim(check_theorem2, "cval", dict(m_max=3, k_max=3, n_max=5)),
+    "corollary6": Claim(check_corollary6, "cval", dict(k_max=4, n_max=15)),
+    "identities7_8": Claim(check_identities7_8, "cval", dict(k_max=3, n_max=8)),
+    "conjectures9_10": Claim(check_conjectures9_10, "cval", dict(m_max=3, k_max=3, n_max=8)),
+    "series_identities": Claim(check_series_identities, "cval", dict(k_max=4, order=16)),
+    "theorem3": Claim(check_theorem3, "cval", dict(k_max=3, n_max=5)),
+}
+CLAIM_IDS = tuple(CLAIMS)

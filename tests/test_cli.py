@@ -1,11 +1,22 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from catalan_hankel import cli, hankel
-from catalan_hankel.cli import SERIES_MAX_K, SERIES_MAX_ORDER, emit_report, main
+from catalan_hankel.cli import (
+    DET_MAX_N,
+    SEQ_MAX_N,
+    SERIES_MAX_K,
+    SERIES_MAX_ORDER,
+    SYMBOLIC_SHARE,
+    TABLE_MAX_N,
+    emit_report,
+    main,
+)
 from catalan_hankel.hankel import InternalDivisionError
 from catalan_hankel.ring import NotDivisibleError
 from catalan_hankel.series import motzkin_power
@@ -129,6 +140,95 @@ def test_series_rejects_values_above_the_ceilings_before_any_work(capsys, monkey
         assert err.startswith(f"error: {flag} must be in ")
 
 
+class _Reached(Exception):
+    """Raised by a stubbed kernel: the command got past its input checks."""
+
+
+def _stub(monkeypatch, kernel):
+    def reached(*args, **kwargs):
+        raise _Reached(kernel)
+
+    monkeypatch.setattr(cli, kernel, reached)
+
+
+# (command, kernel it calls, largest accepted value, error above it)
+_SYM = SYMBOLIC_SHARE
+_CEILINGS = [
+    ("seq --weights const:1 --n {}", "admissible_table", SEQ_MAX_N,
+     f"--n must be in 1..{SEQ_MAX_N}\n"),
+    ("seq --weights const:c --n {}", "admissible_table", SEQ_MAX_N // _SYM,
+     f"--n must be in 1..{SEQ_MAX_N // _SYM} for weights holding c\n"),
+    ("table --weights const:1 --n-max {}", "admissible_table", TABLE_MAX_N,
+     f"--n-max must be in 0..{TABLE_MAX_N}\n"),
+    ("table --weights explicit:1,2;tail=c --n-max {}", "admissible_table", TABLE_MAX_N // _SYM,
+     f"--n-max must be in 0..{TABLE_MAX_N // _SYM} for weights holding c\n"),
+    ("det --weights const:1 --n {}", "hankel_det", DET_MAX_N,
+     f"--n must be in 0..{DET_MAX_N}\n"),
+    ("det --weights const:c --n {}", "hankel_det", DET_MAX_N // _SYM,
+     f"--n must be in 0..{DET_MAX_N // _SYM} for weights holding c\n"),
+    ("det --weights const:1 --n 1 --m {}", "hankel_det", TABLE_MAX_N,
+     f"the triangle depth 2(n-1)+m must be in 0..{TABLE_MAX_N}\n"),
+    ("det --weights shift^2:explicit:1,2,c --n 1 --m {}", "hankel_det", TABLE_MAX_N // _SYM,
+     f"the triangle depth 2(n-1)+m must be in 0..{TABLE_MAX_N // _SYM} for weights holding c\n"),
+    ("series --c sym --order {}", "motzkin_power", 1400,
+     "--c sym needs (k + 16) * (order + 2k)**3 <= 43904000000\n"),
+    ("series --c sym --k 100 --order {}", "motzkin_power", 523,
+     "--c sym needs (k + 16) * (order + 2k)**3 <= 43904000000\n"),
+]
+
+
+@pytest.mark.parametrize("template, kernel, limit, error", _CEILINGS)
+def test_ceiling_admits_its_largest_value(monkeypatch, template, kernel, limit, error):
+    _stub(monkeypatch, kernel)
+    with pytest.raises(_Reached):
+        main(template.format(limit).split())
+
+
+@pytest.mark.parametrize("template, kernel, limit, error", _CEILINGS)
+def test_ceiling_rejects_the_next_value_before_any_work(
+    capsys, monkeypatch, template, kernel, limit, error
+):
+    _stub(monkeypatch, kernel)
+    code, out, err = run_cli(capsys, *template.format(limit + 1).split())
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {error}"
+
+
+def test_symbolic_series_bound_leaves_integer_c_alone(monkeypatch):
+    _stub(monkeypatch, "motzkin_power")
+    with pytest.raises(_Reached):
+        main(["series", "--k", str(SERIES_MAX_K), "--order", str(SERIES_MAX_ORDER)])
+
+
+def test_det_depth_check_is_quick_for_a_huge_shift(capsys):
+    code, _, err = run_cli(capsys, "det", "--weights", "const:c", "--n", "100", "--m", "1000000000")
+    assert code == 2
+    assert err.startswith("error: the triangle depth 2(n-1)+m must be in 0..")
+
+
+def _benchmark_invocations(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    return [
+        argv
+        for name in workloads.WORKLOADS
+        for _, argv in workloads.invocations(name, 0)
+    ]
+
+
+def test_every_benchmark_invocation_passes_the_input_checks(monkeypatch):
+    kernels = {"verify": "_run_claim", "series": "motzkin_power", "det": "hankel_det"}
+    for kernel in kernels.values():
+        _stub(monkeypatch, kernel)
+    for argv in _benchmark_invocations(monkeypatch):
+        with pytest.raises(_Reached, match=kernels[argv[0]]):
+            main(argv)
+
+
 @pytest.mark.parametrize(
     "exc", [NotDivisibleError("7 is not divisible by 2"), ZeroDivisionError("division by zero")]
 )
@@ -211,6 +311,65 @@ def test_verify_runs_are_byte_stable(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+# (flag, a claim that does not take it, a claim that does)
+_VERIFY_FLAGS = [
+    ("--trials 2", "corollary6", "lemma13"),
+    ("--order 12", "theorem2", "series_identities"),
+    ("--m-max 1", "identities7_8", "theorem1"),
+    ("--k-max 1", "theorem1", "corollary6"),
+    ("--n-max 3", "series_identities", "theorem3"),
+    ("--weights const:1", "corollary6", "theorem1"),
+]
+
+
+@pytest.mark.parametrize("flag, refusing, taking", _VERIFY_FLAGS)
+def test_verify_rejects_a_flag_the_claim_does_not_take(capsys, flag, refusing, taking):
+    code, out, err = run_cli(capsys, "verify", refusing, *flag.split())
+    assert code == 2
+    assert out == ""
+    assert err == f"error: verify {refusing} does not take {flag.split()[0]}\n"
+
+
+@pytest.mark.parametrize("flag, refusing, taking", _VERIFY_FLAGS)
+def test_verify_accepts_a_flag_the_claim_takes(capsys, flag, refusing, taking):
+    code, out, _ = run_cli(capsys, "verify", taking, *flag.split(), "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["claim_id"] == taking
+    name = flag.split()[0][2:].replace("-", "_")
+    if name == "weights":
+        assert report["params"]["weights"] == "const:1"
+    else:
+        assert report["params"][name] == int(flag.split()[1])
+
+
+def test_verify_lists_every_flag_the_claim_does_not_take(capsys):
+    code, _, err = run_cli(capsys, "verify", "corollary6", "--trials", "3", "--weights", "const:1")
+    assert code == 2
+    assert err == "error: verify corollary6 does not take --trials, --weights\n"
+
+
+def test_verify_theorem1_with_weights_runs_no_trials(capsys):
+    code, _, err = run_cli(capsys, "verify", "theorem1", "--weights", "const:1", "--trials", "3")
+    assert code == 2
+    assert err == "error: verify theorem1 --weights does not take --trials\n"
+
+
+def test_verify_all_applies_each_flag_where_it_is_taken(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "all", "--trials", "2", "--order", "12", "--m-max", "1", "--k-max", "1",
+        "--n-max", "3", "--weights", "const:1", "--format", "json",
+    )
+    assert code == 1  # the conjecture report records sign-flip witnesses
+    params = {r["claim_id"]: r["params"] for r in json.loads(out)}
+    assert params["lemma13"]["trials"] == 2 and params["lemma13"]["order"] == 12
+    assert params["theorem1"]["weights"] == "const:1"
+    assert "trials" not in params["theorem1"]
+    assert params["series_identities"]["order"] == 12
+    assert params["theorem2"]["m_max"] == 1 and params["theorem2"]["k_max"] == 1
 
 
 def test_usage_error_bad_weights(capsys):
