@@ -5,12 +5,7 @@ Everything here is recomputed from scratch; the OEIS ids are given where
 a sequence is catalogued, for eyeball cross-checking.
 """
 
-from catalan_hankel.hankel import (
-    SquareMatrix,
-    det_fraction_free,
-    hankel_dets,
-    leading_minors,
-)
+from catalan_hankel.hankel import hankel_dets, hankel_minors
 from catalan_hankel.ring import render
 from catalan_hankel.sequences import Constant, Explicit, admissible_table, column
 from catalan_hankel.series import reciprocal_power_coeffs
@@ -49,15 +44,14 @@ def main():
     print("== reciprocal third power of the Motzkin series ==")
     b = reciprocal_power_coeffs(1, 2, 13)
     show("b[n] of 1/A^3", b)
-    b_rows = [[b[i + j] for j in range(7)] for i in range(7)]
-    show("det(b[i+j]) by size", leading_minors(SquareMatrix.from_rows(b_rows)))
+    minors = hankel_minors(b, 7)
+    show("det(b[i+j]) by size", minors)
     show("D(4,2,n)", hankel_dets(unit, 4, 2, 6))
     print()
     print("worked example: det of the leading 3x3 block of (b[i+j]) is")
-    rows = [[b[i + j] for j in range(3)] for i in range(3)]
-    for row in rows:
-        print("   ", row)
-    print(" =", det_fraction_free(SquareMatrix.from_rows(rows)), "= D(4,2,2)")
+    for i in range(3):
+        print("   ", list(b[i : i + 3]))
+    print(" =", minors[3], "= D(4,2,2)")
 
 
 if __name__ == "__main__":

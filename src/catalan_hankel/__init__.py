@@ -27,13 +27,11 @@ from .sequences import (
     weight_at,
 )
 from .hankel import (
-    HankelSpec,
     InternalDivisionError,
-    SquareMatrix,
     det_fraction_free,
     hankel_det,
     hankel_dets,
-    hankel_matrix,
+    hankel_minors,
     leading_minors,
 )
 from .series import (

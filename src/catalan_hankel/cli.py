@@ -39,6 +39,14 @@ SEQ_MAX_N, TABLE_MAX_N, DET_MAX_N = 2000, 1000, 300
 #: Weights holding c admit a fifth of each of those: entries are then
 #: polynomials (const:c: `seq --n 400` 6 s and 0.55 GB, `det --n 60` 25 s).
 SYMBOLIC_SHARE = 5
+#: Integer weights of b bits at the heights used lower each size ceiling to
+#: the largest n with n**3 * (b + 1) * (b + 250) <= WEIGHT_BITS_WORK *
+#: ceiling**3: entries grow by about b + 1 bits a row, and printing one in
+#: decimal costs about its length squared / 250 on top of building it.  The
+#: value at b = 2 keeps the ceilings for weights up to 3 in size.  At the
+#: edge: `det const:1000000 --n 153` 6 s, `seq const:10^1000 --n 79` 4 s,
+#: `table --n-max 182` of 248-bit weights (the slowest shape) 10 s.
+WEIGHT_BITS_WORK = 3 * 252
 
 _WITNESS_LINE_CAP = 50
 
@@ -144,15 +152,23 @@ def _run_claim(ns, claim_id, cval) -> CheckReport:
 
 
 def _check_range(name, value, lo, hi, w=None, depth=0):
-    """Reject value outside lo..hi before any work, or above
-    hi // SYMBOLIC_SHARE when w holds c at a height in 0..depth."""
+    """Reject value outside lo..hi before any work.  With weights w, the
+    heights 0..depth lower hi: by SYMBOLIC_SHARE if one holds c, then by
+    WEIGHT_BITS_WORK for the largest bit length of an integer weight."""
     if not lo <= value <= hi:
         raise ValueError(f"{name} must be in {lo}..{hi}")
-    hi //= SYMBOLIC_SHARE
-    if value > hi and w is not None and any(
-        isinstance(w.at(j), Polynomial) for j in range(depth + 1)
-    ):
-        raise ValueError(f"{name} must be in {lo}..{hi} for weights holding c")
+    if w is None:
+        return
+    weights = [w.at(j) for j in range(depth + 1)]
+    if any(isinstance(v, Polynomial) for v in weights):
+        hi //= SYMBOLIC_SHARE
+        if value > hi:
+            raise ValueError(f"{name} must be in {lo}..{hi} for weights holding c")
+    bits = max((v.bit_length() for v in weights if isinstance(v, int)), default=0)
+    budget = WEIGHT_BITS_WORK * hi**3 // ((bits + 1) * (bits + 250))
+    if value**3 > budget:
+        top = max(n for n in range(hi + 1) if n**3 <= budget)
+        raise ValueError(f"{name} must be in {lo}..{top} for weights of {bits} bits")
 
 
 def _cmd_seq(ns) -> int:

@@ -1,16 +1,16 @@
-"""Hankel matrices of shifted triangle columns and their exact determinants.
+"""Hankel matrices of sequences and their exact determinants.
 
-D(m, k, n) is the determinant of the n x n matrix whose (i, j) entry is
-a[i+j+m][k]; the shift m may be negative, in which case entries at negative
-row indices are 0.  One fraction-free (Bareiss) elimination of the largest
-matrix yields D(m, k, 0..n) together: by Sylvester's identity each pivot is
-a leading principal minor.  Every intermediate stays in the coefficient
-ring and every internal division is exact.
+Every determinant in the paper is a Hankel determinant: the n x n matrix
+whose (i, j) entry is term i+j of a sequence.  ``hankel_minors`` is the one
+place that builds such a matrix.  D(m, k, n) takes the terms a[t+m][k] of a
+shifted triangle column; the shift m may be negative, in which case terms
+at negative row indices are 0.  One fraction-free (Bareiss) elimination of
+the largest matrix yields every size 0..n together: by Sylvester's identity
+each pivot is a leading principal minor.  Every intermediate stays in the
+coefficient ring and every internal division is exact.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .ring import NotDivisibleError, RingElement, exact_div
 from .sequences import WeightSpec, admissible_table, column
@@ -20,48 +20,7 @@ class InternalDivisionError(RuntimeError):
     """An elimination division was not exact; the state is corrupted."""
 
 
-@dataclass(frozen=True)
-class HankelSpec:
-    """Shift m (any sign), column k >= 0, matrix size n >= 0."""
-
-    m: int
-    k: int
-    n: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("column index must be >= 0")
-        if self.n < 0:
-            raise ValueError("matrix size must be >= 0")
-
-
-@dataclass(frozen=True)
-class SquareMatrix:
-    n: int
-    entries: tuple
-
-    @classmethod
-    def from_rows(cls, rows) -> "SquareMatrix":
-        rows = tuple(tuple(row) for row in rows)
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("matrix must be square")
-        return cls(len(rows), rows)
-
-    def entry(self, i: int, j: int) -> RingElement:
-        return self.entries[i][j]
-
-
-def hankel_matrix(table, spec: HankelSpec) -> SquareMatrix:
-    """Matrix of a[i+j+m][k] entries; negative row indices give 0."""
-    return SquareMatrix.from_rows(
-        [
-            [column(table, spec.k, i + j + spec.m) for j in range(spec.n)]
-            for i in range(spec.n)
-        ]
-    )
-
-
-def leading_minors(matrix: SquareMatrix) -> list:
+def leading_minors(rows) -> list:
     """Determinants of the leading s x s blocks, s = 0..n, in one elimination.
 
     One Bareiss pass.  Up to the sign of the row swaps so far, the pivot
@@ -73,8 +32,10 @@ def leading_minors(matrix: SquareMatrix) -> list:
     swapped row and sees exactly this elimination.  With no row to swap
     in, every larger minor is 0.  The empty block has minor 1.
     """
-    n = matrix.n
-    rows = [list(row) for row in matrix.entries]
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
     minors: list = [1]
     sign = 1
     horizon = 0
@@ -109,9 +70,21 @@ def leading_minors(matrix: SquareMatrix) -> list:
     return minors
 
 
-def det_fraction_free(matrix: SquareMatrix) -> RingElement:
+def det_fraction_free(rows) -> RingElement:
     """Exact determinant: the last of the matrix's leading minors."""
-    return leading_minors(matrix)[-1]
+    return leading_minors(rows)[-1]
+
+
+def hankel_minors(terms, n: int) -> list:
+    """Leading minors, sizes 0..n, of the n x n matrix (terms[i+j]).
+
+    Needs the 2n - 1 terms terms[0..2n-2]; later terms are ignored.
+    """
+    if n < 0:
+        raise ValueError("matrix size must be >= 0")
+    if len(terms) < 2 * n - 1:
+        raise ValueError(f"size {n} needs {2 * n - 1} terms, got {len(terms)}")
+    return leading_minors([terms[i : i + n] for i in range(n)])
 
 
 def hankel_dets(w: WeightSpec, m: int, k: int, n_max: int) -> list:
@@ -120,9 +93,8 @@ def hankel_dets(w: WeightSpec, m: int, k: int, n_max: int) -> list:
         raise ValueError("matrix size must be >= 0")
     if n_max == 0:
         return [1]
-    depth = max(0, 2 * (n_max - 1) + m)
-    table = admissible_table(w, depth)
-    return leading_minors(hankel_matrix(table, HankelSpec(m, k, n_max)))
+    table = admissible_table(w, max(0, 2 * (n_max - 1) + m))
+    return hankel_minors([column(table, k, t + m) for t in range(2 * n_max - 1)], n_max)
 
 
 def hankel_det(w: WeightSpec, m: int, k: int, n: int) -> RingElement:

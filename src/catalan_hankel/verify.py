@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .hankel import SquareMatrix, hankel_dets, leading_minors
+from .hankel import hankel_dets, hankel_minors
 from .polyfam import fibonacci_poly, lucas_bivariate_at, lucas_poly
 from .ring import RingElement, parity_sign, render
 from .sequences import Constant, Explicit, WeightSpec, admissible_table, column, shift
@@ -108,11 +108,6 @@ def _report(claim_id, params, run: _Run, conjecture=False) -> CheckReport:
     return CheckReport(claim_id, params, run.instances, run.failures, status)
 
 
-def _sgn2(t: int) -> int:
-    """(-1)**binom(t, 2)."""
-    return -1 if (t * (t - 1) // 2) % 2 else 1
-
-
 def _fib_of_lucas(cval: RingElement, k: int, n: int) -> RingElement:
     """F_{n+1} evaluated at L_{k+1}(cval)."""
     return fibonacci_poly(n + 1).evaluate(lucas_poly(k + 1).evaluate(cval))
@@ -126,13 +121,8 @@ def _fib_of_lucas(cval: RingElement, k: int, n: int) -> RingElement:
 
 def _lemma13_sides(u, v, n_max, M):
     """(lhs, rhs) at (N, M) for every N <= n_max, one elimination per side."""
-    lhs_rows = [
-        [u[i + j - M] if i + j - M >= 0 else 0 for j in range(n_max + M + 1)]
-        for i in range(n_max + M + 1)
-    ]
-    rhs_rows = [[v[i + j + M + 2] for j in range(n_max)] for i in range(n_max)]
-    lhs = leading_minors(SquareMatrix.from_rows(lhs_rows))
-    rhs = leading_minors(SquareMatrix.from_rows(rhs_rows))
+    lhs = hankel_minors([0] * M + list(u.coeffs), n_max + M + 1)
+    rhs = hankel_minors(v.coeffs[M + 2 :], n_max)
     sign = parity_sign(M)
     return [
         (lhs[N + M + 1], (-sign if N % 2 else sign) * rhs[N])
@@ -199,20 +189,25 @@ def check_lemma13_random(
 # ---------------------------------------------------------------------------
 
 
+def _backward_shift_into(run: _Run, w: WeightSpec, m, k, n_max, base, where):
+    """Both clauses of theorem1 at column k: D(-m, k, .) on w against
+    D(m, k, .) on shift(w).  Theorem2 is this for constant w, which the
+    shift leaves unchanged.  Witness params: base, clause, where, n."""
+    sgn = parity_sign(m + k)
+    back = hankel_dets(w, -m, k, n_max + m + k + 1)
+    forward = hankel_dets(shift(w), m, k, n_max)
+    for n in range(1, m + k + 1):
+        run.check({**base, "clause": "zero-block", **where, "n": n}, back[n], 0)
+    for n in range(n_max + 1):
+        lhs = back[n + m + k + 1]
+        rhs = sgn * forward[n]
+        run.check({**base, "clause": "backward-shift", **where, "n": n}, lhs, rhs)
+
+
 def _theorem1_into(run: _Run, w: WeightSpec, m_max, n_max, extra=()):
-    shifted = shift(w)
-    base = dict(extra)
-    base["weights"] = w.describe()
+    base = {**dict(extra), "weights": w.describe()}
     for m in range(m_max + 1):
-        sgn = parity_sign(m)
-        back = hankel_dets(w, -m, 0, n_max + m + 1)
-        forward = hankel_dets(shifted, m, 0, n_max)
-        for n in range(1, m + 1):
-            run.check({**base, "clause": "zero-block", "m": m, "n": n}, back[n], 0)
-        for n in range(n_max + 1):
-            lhs = back[n + m + 1]
-            rhs = sgn * forward[n]
-            run.check({**base, "clause": "backward-shift", "m": m, "n": n}, lhs, rhs)
+        _backward_shift_into(run, w, m, 0, n_max, base, {"m": m})
 
 
 def check_theorem1(w: WeightSpec, m_max: int, n_max: int) -> CheckReport:
@@ -255,17 +250,7 @@ def check_theorem2(
     run = _Run()
     for m in range(m_max + 1):
         for k in range(k_max + 1):
-            sgn = parity_sign(m + k)
-            back = hankel_dets(w, -m, k, n_max + m + k + 1)
-            forward = hankel_dets(w, m, k, n_max)
-            for n in range(1, m + k + 1):
-                run.check({"clause": "zero-block", "m": m, "k": k, "n": n}, back[n], 0)
-            for n in range(n_max + 1):
-                lhs = back[n + m + k + 1]
-                rhs = sgn * forward[n]
-                run.check(
-                    {"clause": "backward-shift", "m": m, "k": k, "n": n}, lhs, rhs
-                )
+            _backward_shift_into(run, w, m, k, n_max, {}, {"m": m, "k": k})
     params = {"c": render(cval), "m_max": m_max, "k_max": k_max, "n_max": n_max}
     return _report("theorem2", params, run)
 
@@ -282,7 +267,7 @@ def check_corollary6(cval: RingElement, k_max: int, n_max: int) -> CheckReport:
     w = Constant(cval)
     run = _Run()
     for k in range(k_max + 1):
-        sgn = _sgn2(k + 1)
+        sgn = parity_sign(k)
         for size, lhs in enumerate(hankel_dets(w, 0, k, n_max)):
             if size % (k + 1) == 0:
                 n = size // (k + 1)
@@ -327,13 +312,13 @@ def check_identities7_8(
             r = size % span
             if r == 0:
                 n = size // span
-                rhs = _sgn2(k + 1) ** n * _fib_of_lucas(cval, k, n)
+                rhs = parity_sign(k) ** n * _fib_of_lucas(cval, k, n)
                 run.check(
                     {"clause": "lucas-main", "k": k, "size": size, "n": n}, lhs, rhs
                 )
             elif r == k:
                 n = (size - k) // span
-                rhs = _sgn2(k + 1) ** n * _sgn2(k) * _fib_of_lucas(cval, k, n)
+                rhs = parity_sign(k) ** n * parity_sign(k - 1) * _fib_of_lucas(cval, k, n)
                 run.check(
                     {"clause": "lucas-offset", "k": k, "size": size, "n": n}, lhs, rhs
                 )
@@ -381,15 +366,15 @@ def check_conjectures9_10(
                 n = size // span
                 f2 = _fib_of_lucas(cval, k, n) ** 2
                 base = {"clause": "eq9.c1", "m": 2, "k": k, "size": size, "n": n}
-                run.check({**base, "reading": "as-printed"}, lhs, _sgn2(k + 1) * f2)
-                run.check({**base, "reading": "n-scaled"}, lhs, _sgn2(k + 1) ** n * f2)
+                run.check({**base, "reading": "as-printed"}, lhs, parity_sign(k) * f2)
+                run.check({**base, "reading": "n-scaled"}, lhs, parity_sign(k) ** n * f2)
             if r == (k - 1) % span:
                 n = (size - (k - 1)) // span
                 ref = dets[2, k][span * n]
                 run.check(
                     {"clause": "eq9.c2", "m": 2, "k": k, "size": size, "n": n},
                     lhs,
-                    _sgn2(k - 1) * ref,
+                    -parity_sign(k) * ref,
                 )
             if r == k:
                 n = (size - k) // span
@@ -398,13 +383,13 @@ def check_conjectures9_10(
                 run.check(
                     {**base, "reading": "as-printed"},
                     lhs,
-                    _sgn2(k + 1) * _sgn2(k) * value,
+                    parity_sign(k) * parity_sign(k - 1) * value,
                 )
                 run.check({**base, "reading": "unsigned"}, lhs, value)
                 run.check(
                     {**base, "reading": "n-scaled"},
                     lhs,
-                    _sgn2(k + 1) ** n * _sgn2(k) * value,
+                    parity_sign(k) ** n * parity_sign(k - 1) * value,
                 )
             if r not in (0, (k - 1) % span, k):
                 run.check(
@@ -420,9 +405,9 @@ def check_conjectures9_10(
                 lhs = dets[m, k][size]
                 power = _fib_of_lucas(cval, k, n) ** m
                 base = {"clause": "eq10", "m": m, "k": k, "size": size, "n": n}
-                run.check({**base, "reading": "as-printed"}, lhs, _sgn2(k + 1) * power)
+                run.check({**base, "reading": "as-printed"}, lhs, parity_sign(k) * power)
                 run.check(
-                    {**base, "reading": "n-scaled"}, lhs, _sgn2(k + 1) ** n * power
+                    {**base, "reading": "n-scaled"}, lhs, parity_sign(k) ** n * power
                 )
 
     params = {"c": render(cval), "m_max": m_max, "k_max": k_max, "n_max": n_max}
@@ -489,8 +474,7 @@ def check_theorem3(cval: RingElement, k_max: int, n_max: int) -> CheckReport:
     run = _Run()
     for k in range(k_max + 1):
         b = reciprocal_power_coeffs(cval, k, 2 * n_max + 1)
-        rows = [[b[i + j] for j in range(n_max + 1)] for i in range(n_max + 1)]
-        lhs = leading_minors(SquareMatrix.from_rows(rows))
+        lhs = hankel_minors(b, n_max + 1)
         for n, rhs in enumerate(hankel_dets(w, k + 2, k, n_max)):
             if n % 2:
                 rhs = -rhs

@@ -1,6 +1,6 @@
 """Brute-force oracles, deliberately independent of the library's algorithms."""
 
-from catalan_hankel.hankel import InternalDivisionError, SquareMatrix
+from catalan_hankel.hankel import InternalDivisionError
 from catalan_hankel.ring import NotDivisibleError, RingElement, exact_div
 from catalan_hankel.series import TruncatedSeries
 
@@ -34,17 +34,27 @@ def perm_sign(perm):
     return -1 if inversions % 2 else 1
 
 
-def det_bareiss_per_size(matrix: SquareMatrix) -> RingElement:
+def hankel_rows(table, m, k, n):
+    """The n x n matrix (a[i+j+m][k]) read straight off ``table.rows``;
+    rows below 0 and columns beyond a row's end read 0."""
+
+    def entry(r):
+        return table.rows[r][k] if 0 <= r and k <= r else 0
+
+    return [[entry(i + j + m) for j in range(n)] for i in range(n)]
+
+
+def det_bareiss_per_size(rows) -> RingElement:
     """Exact determinant by Bareiss one-step elimination of this size only.
 
     A zero pivot is repaired by swapping in the first lower row with a
     nonzero entry in the pivot column (flipping the sign); if none exists
     the determinant is 0.  The empty matrix has determinant 1.
     """
-    n = matrix.n
+    n = len(rows)
     if n == 0:
         return 1
-    rows = [list(row) for row in matrix.entries]
+    rows = [list(row) for row in rows]
     sign = 1
     prev: RingElement = 1
     for p in range(n - 1):

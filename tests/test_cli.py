@@ -170,6 +170,21 @@ _CEILINGS = [
      f"the triangle depth 2(n-1)+m must be in 0..{TABLE_MAX_N}\n"),
     ("det --weights shift^2:explicit:1,2,c --n 1 --m {}", "hankel_det", TABLE_MAX_N // _SYM,
      f"the triangle depth 2(n-1)+m must be in 0..{TABLE_MAX_N // _SYM} for weights holding c\n"),
+    # integer weights of b > 2 bits: n**3 * (b + 1) * (b + 250) <= WEIGHT_BITS_WORK * ceiling**3
+    ("det --weights const:-3 --n {}", "hankel_det", DET_MAX_N,
+     f"--n must be in 0..{DET_MAX_N}\n"),
+    ("det --weights const:7 --n {}", "hankel_det", 272,
+     "--n must be in 0..272 for weights of 3 bits\n"),
+    ("det --weights const:1000000 --n {}", "hankel_det", 153,
+     "--n must be in 0..153 for weights of 20 bits\n"),
+    ("det --weights const:1000000 --n 1 --m {}", "hankel_det", 510,
+     "the triangle depth 2(n-1)+m must be in 0..510 for weights of 20 bits\n"),
+    ("seq --weights const:1000000 --n {}", "admissible_table", 1021,
+     "--n must be in 1..1021 for weights of 20 bits\n"),
+    ("seq --weights explicit:c,-1000000 --n {}", "admissible_table", 204,
+     "--n must be in 1..204 for weights of 20 bits\n"),
+    ("table --weights const:1000000 --n-max {}", "admissible_table", 510,
+     "--n-max must be in 0..510 for weights of 20 bits\n"),
     ("series --c sym --order {}", "motzkin_power", 1400,
      "--c sym needs (k + 16) * (order + 2k)**3 <= 43904000000\n"),
     ("series --c sym --k 100 --order {}", "motzkin_power", 523,
@@ -199,6 +214,15 @@ def test_symbolic_series_bound_leaves_integer_c_alone(monkeypatch):
     _stub(monkeypatch, "motzkin_power")
     with pytest.raises(_Reached):
         main(["series", "--k", str(SERIES_MAX_K), "--order", str(SERIES_MAX_ORDER)])
+
+
+def test_weight_bits_count_only_the_heights_used(monkeypatch):
+    # depth 2(n-1)+m = 0: only height 0 is used; at 3322 bits --n stops at 11
+    _stub(monkeypatch, "hankel_det")
+    with pytest.raises(_Reached):
+        main(["det", "--weights", f"explicit:1;tail={10**1000}", "--n", "40", "--m", "-78"])
+    with pytest.raises(ValueError, match=r"0\.\.11 for weights of 3322 bits"):
+        cli._check_range("--n", 40, 0, DET_MAX_N, cli.parse_weight_spec(f"const:{10**1000}"))
 
 
 def test_det_depth_check_is_quick_for_a_huge_shift(capsys):

@@ -5,82 +5,82 @@ import pytest
 from hypothesis import given, strategies as st
 
 from catalan_hankel.hankel import (
-    HankelSpec,
-    SquareMatrix,
     det_fraction_free,
     hankel_det,
     hankel_dets,
-    hankel_matrix,
+    hankel_minors,
     leading_minors,
 )
 from catalan_hankel.ring import C, eval_at
 from catalan_hankel.sequences import Constant, Explicit, admissible_table, shift
 
-from oracles import det_bareiss_per_size, det_cofactor, perm_sign
+from oracles import det_bareiss_per_size, det_cofactor, hankel_rows, perm_sign
 
 ZERO_HEAVY = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3))
 
 
 def test_hankel_matrix_known_block():
     t = admissible_table(Constant(1), 10)
-    m = hankel_matrix(t, HankelSpec(4, 2, 2))
-    assert m.entries == ((9, 25), (25, 69))
+    assert hankel_rows(t, 4, 2, 2) == [[9, 25], [25, 69]]
+    assert hankel_minors([9, 25, 69], 2) == [1, 9, 9 * 69 - 25 * 25]
+    assert hankel_dets(Constant(1), 4, 2, 2) == [1, 9, 9 * 69 - 25 * 25]
 
 
 def test_hankel_matrix_all_negative_indices():
     t = admissible_table(Constant(1), 2)
-    m = hankel_matrix(t, HankelSpec(-5, 0, 2))
-    assert m.entries == ((0, 0), (0, 0))
+    assert hankel_rows(t, -5, 0, 2) == [[0, 0], [0, 0]]
+    assert hankel_dets(Constant(1), -5, 0, 2) == [1, 0, 0]
 
 
 def test_hankel_matrix_symbolic():
     t = admissible_table(Constant(C), 2)
-    m = hankel_matrix(t, HankelSpec(0, 1, 2))
-    assert m.entries == ((0, 1), (1, 2 * C))
+    assert hankel_rows(t, 0, 1, 2) == [[0, 1], [1, 2 * C]]
+    assert hankel_minors([0, 1, 2 * C], 2) == [1, 0, -1]
+    assert hankel_dets(Constant(C), 0, 1, 2) == [1, 0, -1]
 
 
 def test_hankel_matrices_are_symmetric():
-    t = admissible_table(Explicit((2, -1, 3), 0), 12)
+    w = Explicit((2, -1, 3), 0)
+    t = admissible_table(w, 12)
     for m_shift in (-2, 0, 3):
         for k in (0, 2):
-            mat = hankel_matrix(t, HankelSpec(m_shift, k, 4))
-            for i in range(4):
-                for j in range(4):
-                    assert mat.entry(i, j) == mat.entry(j, i)
+            rows = hankel_rows(t, m_shift, k, 4)
+            assert rows == [list(col) for col in zip(*rows)]
+            blocks = [[row[:s] for row in rows[:s]] for s in range(5)]
+            assert hankel_dets(w, m_shift, k, 4) == [det_cofactor(b) for b in blocks]
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        HankelSpec(0, -1, 2)
+        hankel_dets(Constant(1), 0, -1, 2)
     with pytest.raises(ValueError):
-        HankelSpec(0, 0, -1)
+        hankel_dets(Constant(1), 0, 0, -1)
     with pytest.raises(ValueError):
-        SquareMatrix.from_rows([[1, 2]])
+        leading_minors([[1, 2]])
 
 
 def test_shallow_table_raises_instead_of_truncating():
-    from catalan_hankel.sequences import OutOfRangeError
-
-    t = admissible_table(Constant(1), 3)
-    with pytest.raises(OutOfRangeError):
-        hankel_matrix(t, HankelSpec(2, 0, 3))  # needs row 2*2+2 = 6
+    # size 3 needs the five terms 0..4
+    with pytest.raises(ValueError, match="size 3 needs 5 terms, got 4"):
+        hankel_minors([1, 1, 2, 4], 3)
+    with pytest.raises(ValueError):
+        hankel_minors([], -1)
 
 
 def test_det_identity():
-    assert det_fraction_free(SquareMatrix.from_rows([[1, 0], [0, 1]])) == 1
+    assert det_fraction_free([[1, 0], [0, 1]]) == 1
 
 
 def test_det_transposition():
-    assert det_fraction_free(SquareMatrix.from_rows([[0, 1], [1, 0]])) == -1
+    assert det_fraction_free([[0, 1], [1, 0]]) == -1
 
 
 def test_det_worked_three_by_three():
-    m = SquareMatrix.from_rows([[1, -3, 0], [-3, 0, 2], [0, 2, 0]])
-    assert det_fraction_free(m) == -4
+    assert det_fraction_free([[1, -3, 0], [-3, 0, 2], [0, 2, 0]]) == -4
 
 
 def test_det_empty_matrix_is_one():
-    assert det_fraction_free(SquareMatrix.from_rows([])) == 1
+    assert det_fraction_free([]) == 1
 
 
 @given(
@@ -93,7 +93,7 @@ def test_det_empty_matrix_is_one():
     )
 )
 def test_det_matches_cofactor_expansion(rows):
-    assert det_fraction_free(SquareMatrix.from_rows(rows)) == det_cofactor(rows)
+    assert det_fraction_free(rows) == det_cofactor(rows)
 
 
 def test_det_matches_cofactor_on_seeded_trials():
@@ -101,7 +101,7 @@ def test_det_matches_cofactor_on_seeded_trials():
     for _ in range(60):
         n = rng.randint(0, 5)
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        assert det_fraction_free(SquareMatrix.from_rows(rows)) == det_cofactor(rows)
+        assert det_fraction_free(rows) == det_cofactor(rows)
 
 
 def test_det_symbolic_matches_cofactor():
@@ -112,13 +112,13 @@ def test_det_symbolic_matches_cofactor():
             [rng.randint(-3, 3) + rng.randint(-2, 2) * C for _ in range(n)]
             for _ in range(n)
         ]
-        assert det_fraction_free(SquareMatrix.from_rows(rows)) == det_cofactor(rows)
+        assert det_fraction_free(rows) == det_cofactor(rows)
 
 
 def test_permutation_matrix_signs():
     for perm in permutations(range(4)):
         rows = [[1 if j == perm[i] else 0 for j in range(4)] for i in range(4)]
-        assert det_fraction_free(SquareMatrix.from_rows(rows)) == perm_sign(perm)
+        assert det_fraction_free(rows) == perm_sign(perm)
 
 
 def test_duplicated_row_kills_determinant():
@@ -128,7 +128,7 @@ def test_duplicated_row_kills_determinant():
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         i, j = rng.sample(range(n), 2)
         rows[i] = list(rows[j])
-        assert det_fraction_free(SquareMatrix.from_rows(rows)) == 0
+        assert det_fraction_free(rows) == 0
 
 
 @given(
@@ -140,19 +140,28 @@ def test_duplicated_row_kills_determinant():
 )
 def test_leading_minors_match_cofactor_on_zero_heavy_matrices(rows):
     blocks = [[row[:s] for row in rows[:s]] for s in range(len(rows) + 1)]
-    minors = leading_minors(SquareMatrix.from_rows(rows))
+    minors = leading_minors(rows)
     assert minors == [det_cofactor(block) for block in blocks]
+
+
+@given(st.integers(0, 7), st.integers(0, 6), st.lists(ZERO_HEAVY, min_size=13, max_size=13))
+def test_hankel_minors_match_cofactor_after_a_zero_prefix(n, zeros, tail):
+    # lemma13's negative shift: the sequence starts with a run of zeros
+    terms = [0] * zeros + tail
+    rows = [[terms[i + j] for j in range(n)] for i in range(n)]
+    blocks = [[row[:s] for row in rows[:s]] for s in range(n + 1)]
+    assert hankel_minors(terms, n) == [det_cofactor(block) for block in blocks]
 
 
 def test_leading_minors_anti_identity():
     rows = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
-    assert leading_minors(SquareMatrix.from_rows(rows)) == [1, 0, 0, -1]
+    assert leading_minors(rows) == [1, 0, 0, -1]
 
 
 def test_leading_minors_zero_below_a_far_swap_row():
     # the step-0 swap brings in row 3: blocks of size 1..3 have a zero column
     rows = [[0, 2, 1, 0], [0, 1, 3, 1], [0, 5, 1, 2], [3, 1, 0, 1]]
-    minors = leading_minors(SquareMatrix.from_rows(rows))
+    minors = leading_minors(rows)
     assert minors == [1, 0, 0, 0, det_cofactor(rows)]
     assert minors[4] != 0
 
@@ -160,13 +169,13 @@ def test_leading_minors_zero_below_a_far_swap_row():
 def test_leading_minors_stop_when_no_row_can_be_swapped_in():
     # after step 0 the pivot column below row 0 is all zero
     rows = [[1, 2, 3], [2, 4, 5], [3, 6, 7]]
-    assert leading_minors(SquareMatrix.from_rows(rows)) == [1, 1, 0, 0]
+    assert leading_minors(rows) == [1, 1, 0, 0]
 
 
 def test_leading_minors_symbolic_zeros_compare_by_value():
     # a zero minor over Z[c] may be the zero polynomial rather than int 0
-    assert leading_minors(SquareMatrix.from_rows([[C, 1], [C, 1]])) == [1, C, 0]
-    assert leading_minors(SquareMatrix.from_rows([[0, C], [C, 1]])) == [1, 0, -C * C]
+    assert leading_minors([[C, 1], [C, 1]]) == [1, C, 0]
+    assert leading_minors([[0, C], [C, 1]]) == [1, 0, -C * C]
 
 
 HANKEL_WEIGHTS = st.one_of(
@@ -181,7 +190,7 @@ def test_hankel_dets_match_per_size_bareiss(w, m, k, n_max):
     assert len(dets) == n_max + 1
     for n, value in enumerate(dets):
         table = admissible_table(w, max(0, 2 * (n - 1) + m))
-        assert value == det_bareiss_per_size(hankel_matrix(table, HankelSpec(m, k, n)))
+        assert value == det_bareiss_per_size(hankel_rows(table, m, k, n))
 
 
 def test_hankel_det_size_zero_is_one():

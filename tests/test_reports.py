@@ -1,4 +1,4 @@
-"""Pinned outputs of `verify all` and of the full-grid verification script."""
+"""Pinned outputs of `verify all` and of the two scripts."""
 
 import hashlib
 import json
@@ -31,17 +31,28 @@ def test_verify_all_output_is_pinned(capsys, flags, digest):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (1, digest)
 
 
-def test_run_verification_script(tmp_path):
+def _run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_verification.py"), str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def test_sequence_gallery_output_is_pinned():
+    proc = _run_script("sequence_gallery.py")
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "ee5ceabbd64847c561ac7d3a9d055e21f8cbfc2b8f53f0efcbbfc00664ab5a13"
+
+
+def test_run_verification_script(tmp_path):
+    proc = _run_script("run_verification.py", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     reports = sorted(tmp_path.glob("*.json"))
     assert len(reports) == 25

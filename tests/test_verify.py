@@ -201,12 +201,11 @@ def test_checkers_eliminate_once_per_shift_and_column(monkeypatch):
     sizes = []
     real = hankel.leading_minors
 
-    def counting(matrix):
-        sizes.append(matrix.n)
-        return real(matrix)
+    def counting(rows):
+        sizes.append(len(rows))
+        return real(rows)
 
-    for module in (hankel, verify):
-        monkeypatch.setattr(module, "leading_minors", counting)
+    monkeypatch.setattr(hankel, "leading_minors", counting)
     assert check_corollary6(1, 6, 30).status == "verified"
     assert len(sizes) == 7  # one per column k
     sizes.clear()
