@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import sys
 
 from .hankel import InternalDivisionError, hankel_det
 from .ring import C, Polynomial, render
-from .sequences import admissible_table, column, parse_weight_spec
+from .sequences import Constant, admissible_table, columns, parse_weight_spec
 from .series import motzkin_power
 from . import verify as verify_mod
 from .verify import CLAIM_IDS, CLAIMS, CheckReport
@@ -32,12 +33,12 @@ SERIES_MAX_ORDER = 10000
 #: length**3 (lengths up to order + 2k) and printing about 15 more.  Order
 #: 1400 at k 0: 18 s, 0.8 GB; the slowest shapes (order 1028 at k 20): 65 s.
 SERIES_MAX_SYMBOLIC_WORK = 16 * 1400**3
-#: Largest `seq --n` (const:1: 2.3 s, 0.5 GB), `table --n-max` (const:1 as
+#: Largest `seq --n` (const:1: 0.6 s, 20 MB), `table --n-max` (const:1 as
 #: json: 2 s, 0.35 GB) and `det --n` (const:3: 9 s) accepted; `det` is also
-#: held to TABLE_MAX_N for the triangle depth 2(n-1)+m it builds.
+#: held to TABLE_MAX_N for the triangle depth 2(n-1)+m it reads.
 SEQ_MAX_N, TABLE_MAX_N, DET_MAX_N = 2000, 1000, 300
 #: Weights holding c admit a fifth of each of those: entries are then
-#: polynomials (const:c: `seq --n 400` 6 s and 0.55 GB, `det --n 60` 25 s).
+#: polynomials (const:c: `seq --n 400` 2.3 s and 29 MB, `det --n 60` 25 s).
 SYMBOLIC_SHARE = 5
 #: Integer weights of b bits at the heights used lower each size ceiling to
 #: the largest n with n**3 * (b + 1) * (b + 250) <= WEIGHT_BITS_WORK *
@@ -47,6 +48,22 @@ SYMBOLIC_SHARE = 5
 #: edge: `det const:1000000 --n 153` 6 s, `seq const:10^1000 --n 79` 4 s,
 #: `table --n-max 182` of 248-bit weights (the slowest shape) 10 s.
 WEIGHT_BITS_WORK = 3 * 252
+#: The range of each verify bound flag, by argparse dest, checked for every
+#: claim a run names before any claim runs.  For claims that take --c, the
+#: ceiling is lowered as for seq/table/det: to a fifth for --c sym, and by
+#: WEIGHT_BITS_WORK for an integer c of more than 2 bits.  One flag at its
+#: ceiling, the others at their defaults, c = 1, the slowest claim takes:
+#: --n-max 100 47 s (theorem1), --k-max 100 12 s (theorem2), --m-max 50
+#: 10 s (theorem1), --trials 10000 6 s (theorem1), --order 500 3 s
+#: (lemma13); with --c sym, --order 100 6 s (series_identities) and
+#: --n-max 20 9 s (theorem2).
+VERIFY_RANGES = {
+    "trials": (1, 10000),
+    "order": (1, 500),
+    "m_max": (0, 50),
+    "k_max": (0, 100),
+    "n_max": (0, 100),
+}
 
 _WITNESS_LINE_CAP = 50
 
@@ -127,28 +144,28 @@ def emit_report(report: CheckReport, fmt: str) -> str:
     return "\n".join(lines)
 
 
-#: verify flags that set grid bounds, by argparse dest
-_BOUND_FLAGS = ("trials", "order", "m_max", "k_max", "n_max")
-
-
-def _run_claim(ns, claim_id, cval) -> CheckReport:
-    """Run one claim, unset bounds at its defaults; a claim named alone
-    rejects flags it does not take.  Only theorem1 takes --weights, which
-    replaces its random trials by that one weight spec."""
+def _claim_call(ns, claim_id, cval):
+    """The call that runs one claim, unset bounds at its defaults, once its
+    input checks pass; a claim named alone rejects flags it does not take.
+    Only theorem1 takes --weights, which replaces its random trials by that
+    one weight spec."""
     claim = CLAIMS[claim_id]
     weights = ns.weights if claim_id == "theorem1" else None
     taken = [n for n in claim.defaults if weights is None or n != "trials"]
-    unused = [n for n in _BOUND_FLAGS if getattr(ns, n) is not None and n not in taken]
+    unused = [n for n in VERIFY_RANGES if getattr(ns, n) is not None and n not in taken]
     unused += ["weights"] if ns.weights is not None and weights is None else []
     if unused and ns.claim != "all":
         flags = ", ".join("--" + n.replace("_", "-") for n in unused)
         where = "" if weights is None else " --weights"
         raise ValueError(f"verify {claim_id}{where} does not take {flags}")
     bounds = {n: claim.defaults[n] if getattr(ns, n) is None else getattr(ns, n) for n in taken}
+    w = Constant(cval) if claim.arg == "cval" else None
+    for name, value in bounds.items():
+        _check_range("--" + name.replace("_", "-"), value, *VERIFY_RANGES[name], w)
     if weights is not None:
-        return verify_mod.check_theorem1(parse_weight_spec(weights), **bounds)
+        return functools.partial(verify_mod.check_theorem1, parse_weight_spec(weights), **bounds)
     lead = ns.rng_seed if claim.arg == "seed" else cval
-    return claim.check(**{claim.arg: lead}, **bounds)
+    return functools.partial(claim.check, **{claim.arg: lead}, **bounds)
 
 
 def _check_range(name, value, lo, hi, w=None, depth=0):
@@ -174,8 +191,7 @@ def _check_range(name, value, lo, hi, w=None, depth=0):
 def _cmd_seq(ns) -> int:
     w = parse_weight_spec(ns.weights)
     _check_range("--n", ns.n, 1, SEQ_MAX_N, w, ns.n - 1)
-    table = admissible_table(w, ns.n - 1)
-    values = [column(table, ns.k, n) for n in range(ns.n)]
+    values = columns(w, [ns.k], ns.n - 1)[ns.k]
     meta = {"weights": w.describe(), "k": ns.k}
     print(_format_values(values, ns.format, meta))
     return 0
@@ -242,7 +258,8 @@ def _cmd_series(ns) -> int:
 def _cmd_verify(ns) -> int:
     cval = _parse_c(ns.c)
     claims = CLAIM_IDS if ns.claim == "all" else [ns.claim]
-    reports = [_run_claim(ns, claim, cval) for claim in claims]
+    calls = [_claim_call(ns, claim, cval) for claim in claims]
+    reports = [call() for call in calls]
     if ns.format == "json" and len(reports) > 1:
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:

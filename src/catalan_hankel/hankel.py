@@ -3,17 +3,21 @@
 Every determinant in the paper is a Hankel determinant: the n x n matrix
 whose (i, j) entry is term i+j of a sequence.  ``hankel_minors`` is the one
 place that builds such a matrix.  D(m, k, n) takes the terms a[t+m][k] of a
-shifted triangle column; the shift m may be negative, in which case terms
+shifted triangle column (``column_dets``, on a column streamed by
+``sequences.columns``); the shift m may be negative, in which case terms
 at negative row indices are 0.  One fraction-free (Bareiss) elimination of
 the largest matrix yields every size 0..n together: by Sylvester's identity
 each pivot is a leading principal minor.  Every intermediate stays in the
-coefficient ring and every internal division is exact.
+coefficient ring.  Each elimination step is one ``divmod`` whose remainder
+must be zero, the same code for ints (the builtin, with no Python-level
+call) and Polynomials; a nonzero remainder, or a leading coefficient that
+does not divide, raises InternalDivisionError.
 """
 
 from __future__ import annotations
 
-from .ring import NotDivisibleError, RingElement, exact_div
-from .sequences import WeightSpec, admissible_table, column
+from .ring import NotDivisibleError, RingElement
+from .sequences import WeightSpec, columns
 
 
 class InternalDivisionError(RuntimeError):
@@ -61,7 +65,9 @@ def leading_minors(rows) -> list:
             for row in rows[p + 1 :]:
                 left = row[p]
                 for j in range(p + 1, n):
-                    row[j] = exact_div(pivot * row[j] - left * top[j], prev)
+                    row[j], rem = divmod(pivot * row[j] - left * top[j], prev)
+                    if rem:
+                        raise NotDivisibleError(f"remainder {rem}")
         except NotDivisibleError as exc:
             raise InternalDivisionError(
                 f"inexact division at elimination step {p}"
@@ -87,14 +93,24 @@ def hankel_minors(terms, n: int) -> list:
     return leading_minors([terms[i : i + n] for i in range(n)])
 
 
+def column_dets(col, m: int, n_max: int) -> list:
+    """[D(m, k, n) for n = 0..n_max] from col = [a[0][k], a[1][k], ...].
+
+    The terms are col[t + m], 0 where t + m < 0; col needs the entries up
+    to row 2(n_max - 1) + m.
+    """
+    zeros = min(max(-m, 0), 2 * n_max)
+    return hankel_minors([0] * zeros + col[max(m, 0) :], n_max)
+
+
 def hankel_dets(w: WeightSpec, m: int, k: int, n_max: int) -> list:
-    """[D(m, k, n) for n = 0..n_max] from one triangle and one elimination."""
+    """[D(m, k, n) for n = 0..n_max] from one column and one elimination."""
     if n_max < 0:
         raise ValueError("matrix size must be >= 0")
     if n_max == 0:
         return [1]
-    table = admissible_table(w, max(0, 2 * (n_max - 1) + m))
-    return hankel_minors([column(table, k, t + m) for t in range(2 * n_max - 1)], n_max)
+    depth = max(0, 2 * (n_max - 1) + m)
+    return column_dets(columns(w, [k], depth)[k], m, n_max)
 
 
 def hankel_det(w: WeightSpec, m: int, k: int, n: int) -> RingElement:

@@ -3,9 +3,12 @@
 Every quantity in this package is a *ring element*: either a plain Python
 int (the ring of integers) or a :class:`Polynomial` (integer-coefficient
 polynomials in one symbol, rendered as ``c``).  The two kinds mix freely in
-``+ - *`` expressions; the one operation beyond the native operators that
-the elimination code needs is :func:`exact_div`, which must fail loudly
-whenever a division is not exact.
+``+ - *`` and ``divmod`` expressions.  There is one division algorithm:
+``divmod`` is the builtin one on ints and long division in Z[c] on
+Polynomials, which raises NotDivisibleError when a leading coefficient does
+not divide (the quotient would leave Z[c]).  :func:`exact_div` is ``divmod``
+followed by a check that the remainder is zero, so a division that is not
+exact always fails loudly, whatever the operand types.
 """
 
 from __future__ import annotations
@@ -134,13 +137,17 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, v in enumerate(b):
+            out[i] -= v
+        return Polynomial(out)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -167,38 +174,48 @@ class Polynomial:
             exponent >>= 1
         return result
 
-    def exact_div(self, divisor) -> "Polynomial":
-        """Quotient self / divisor when the division is exact.
+    def __divmod__(self, other):
+        """(quotient, remainder) of long division in Z[c]; the remainder has
+        lower degree than the divisor.
 
-        Raises NotDivisibleError when long division leaves a remainder (or
-        a leading coefficient fails to divide), ZeroDivisionError for a
-        zero divisor.
+        Raises NotDivisibleError when a leading coefficient does not divide
+        (the quotient would leave Z[c]), ZeroDivisionError for a zero divisor.
         """
-        divisor = self._coerce(divisor)
-        if divisor is None or divisor.is_zero():
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        den = other.coeffs
+        if not den:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return Polynomial()
-        den = divisor.coeffs
         rem = list(self.coeffs)
         span = len(rem) - len(den)
         if span < 0:
-            raise NotDivisibleError(f"{self} is not divisible by {divisor}")
+            return Polynomial(), self
         lead = den[-1]
         quot = [0] * (span + 1)
         for i in range(span, -1, -1):
             top = rem[i + len(den) - 1]
             if top == 0:
                 continue
-            if top % lead:
-                raise NotDivisibleError(f"{self} is not divisible by {divisor}")
-            q = top // lead
+            q, r = divmod(top, lead)
+            if r:
+                raise NotDivisibleError(f"{self} is not divisible by {other}")
             quot[i] = q
             for j, dv in enumerate(den):
                 rem[i + j] -= q * dv
-        if any(rem):
-            raise NotDivisibleError(f"{self} is not divisible by {divisor}")
-        return Polynomial(quot)
+        # every step cleared its top coefficient: only the low ones remain
+        return Polynomial(quot), Polynomial(rem[: len(den) - 1])
+
+    def __rdivmod__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return divmod(other, self)
+
+    def exact_div(self, divisor) -> "Polynomial":
+        """Quotient self / divisor: ``divmod``, then a nonzero remainder
+        raises NotDivisibleError.  See :func:`exact_div`."""
+        return exact_div(self, divisor)
 
     def evaluate(self, point):
         """Horner evaluation at an int, or composition at a Polynomial."""
@@ -259,15 +276,14 @@ def as_poly(value: RingElement) -> Polynomial:
 
 
 def exact_div(a: RingElement, b: RingElement) -> RingElement:
-    """Exact ring division a / b; raises NotDivisibleError otherwise."""
-    if isinstance(a, int) and isinstance(b, int):
-        if b == 0:
-            raise ZeroDivisionError("integer division by zero")
-        q, r = divmod(a, b)
-        if r:
-            raise NotDivisibleError(f"{a} is not divisible by {b}")
-        return q
-    return as_poly(a).exact_div(b)
+    """Exact ring division a / b, the same for ints and Polynomials:
+    ``divmod``, then a nonzero remainder raises NotDivisibleError.  A
+    leading coefficient that does not divide raises it from ``divmod``; a
+    zero divisor raises ZeroDivisionError."""
+    q, r = divmod(a, b)
+    if r:
+        raise NotDivisibleError(f"{a} is not divisible by {b}")
+    return q
 
 
 def eval_at(value: RingElement, point: int) -> RingElement:

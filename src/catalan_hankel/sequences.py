@@ -6,8 +6,11 @@ The triangle a[n][k] grows by the three-term step
     a[n][k] = a[n-1][k-1] + s_k * a[n-1][k] + a[n-1][k+1]
 
 from a[0][k] = [k == 0], which counts weighted 3-step lattice paths
-(up/down/level, level steps at height j weighing s_j).  A brute-force path
-enumerator is kept alongside as an independent oracle.
+(up/down/level, level steps at height j weighing s_j).  Two readers share
+the one row step: ``columns`` streams the few columns a determinant or a
+dump needs, holding one row at a time, and ``admissible_table`` keeps every
+row, for printing the whole triangle.  A brute-force path enumerator is
+kept alongside as an independent oracle.
 """
 
 from __future__ import annotations
@@ -118,22 +121,48 @@ class AdmissibleTable:
     rows: tuple
 
 
+def _next_row(prev: tuple, weights) -> tuple:
+    """Row n + 1 from row n of the triangle, one entry per height below
+    len(prev) + 1 and len(weights): zero padding stands for the entries
+    below height 0 and beyond the row's end."""
+    padded = (0,) + prev + (0, 0)
+    return tuple(
+        a + s * b + c for a, s, b, c in zip(padded, weights, padded[1:], padded[2:])
+    )
+
+
 def admissible_table(w: WeightSpec, max_n: int) -> AdmissibleTable:
-    """Build the triangle row by row up to row max_n."""
+    """Build the whole triangle row by row up to row max_n."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     weights = [w.at(k) for k in range(max_n + 1)]
     rows = [(1,)]
-    for n in range(1, max_n + 1):
-        prev = rows[-1]
-
-        def above(k):
-            return prev[k] if 0 <= k < n else 0
-
-        rows.append(
-            tuple(above(k - 1) + weights[k] * above(k) + above(k + 1) for k in range(n + 1))
-        )
+    for _ in range(max_n):
+        rows.append(_next_row(rows[-1], weights))
     return AdmissibleTable(w, max_n, tuple(rows))
+
+
+def columns(w: WeightSpec, ks, depth: int) -> dict:
+    """{k: [a[0][k], ..., a[depth][k]]} for each k in ks, one row at a time.
+
+    Row r keeps only heights up to max(ks) + depth - r: a higher entry is
+    further above every requested column than there are rows left, so it
+    cannot reach one.  Memory is O(depth * len(ks)) plus one row.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    out = {k: [] for k in ks}
+    if any(k < 0 for k in out):
+        raise ValueError("column index must be >= 0")
+    reach = max(out, default=0) + depth
+    weights = [w.at(h) for h in range(depth + 1)]
+    row = (1,)
+    for r in range(depth + 1):
+        if r:
+            row = _next_row(row, weights[: reach - r + 1])
+        for k, values in out.items():
+            values.append(row[k] if k < len(row) else 0)
+    return out
 
 
 def column(table: AdmissibleTable, k: int, n: int) -> RingElement:

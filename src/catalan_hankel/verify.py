@@ -23,10 +23,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .hankel import hankel_dets, hankel_minors
+from .hankel import column_dets, hankel_minors
 from .polyfam import fibonacci_poly, lucas_bivariate_at, lucas_poly
 from .ring import RingElement, parity_sign, render
-from .sequences import Constant, Explicit, WeightSpec, admissible_table, column, shift
+from .sequences import Constant, Explicit, WeightSpec, columns, shift
 from .series import TruncatedSeries, motzkin_series, reciprocal_power_coeffs
 
 @dataclass
@@ -189,13 +189,15 @@ def check_lemma13_random(
 # ---------------------------------------------------------------------------
 
 
-def _backward_shift_into(run: _Run, w: WeightSpec, m, k, n_max, base, where):
+def _backward_shift_into(run: _Run, cols, shifted_cols, m, k, n_max, base, where):
     """Both clauses of theorem1 at column k: D(-m, k, .) on w against
-    D(m, k, .) on shift(w).  Theorem2 is this for constant w, which the
-    shift leaves unchanged.  Witness params: base, clause, where, n."""
+    D(m, k, .) on shift(w), read off cols and shifted_cols, the columns of
+    w and of shift(w) to depth 2 n_max + m + 2k and 2(n_max - 1) + m at
+    least.  Theorem2 is this for constant w, which the shift leaves
+    unchanged.  Witness params: base, clause, where, n."""
     sgn = parity_sign(m + k)
-    back = hankel_dets(w, -m, k, n_max + m + k + 1)
-    forward = hankel_dets(shift(w), m, k, n_max)
+    back = column_dets(cols[k], -m, n_max + m + k + 1)
+    forward = column_dets(shifted_cols[k], m, n_max)
     for n in range(1, m + k + 1):
         run.check({**base, "clause": "zero-block", **where, "n": n}, back[n], 0)
     for n in range(n_max + 1):
@@ -206,8 +208,10 @@ def _backward_shift_into(run: _Run, w: WeightSpec, m, k, n_max, base, where):
 
 def _theorem1_into(run: _Run, w: WeightSpec, m_max, n_max, extra=()):
     base = {**dict(extra), "weights": w.describe()}
+    cols = columns(w, [0], 2 * n_max + m_max)
+    shifted_cols = columns(shift(w), [0], 2 * (n_max - 1) + m_max)
     for m in range(m_max + 1):
-        _backward_shift_into(run, w, m, 0, n_max, base, {"m": m})
+        _backward_shift_into(run, cols, shifted_cols, m, 0, n_max, base, {"m": m})
 
 
 def check_theorem1(w: WeightSpec, m_max: int, n_max: int) -> CheckReport:
@@ -246,11 +250,11 @@ def check_theorem2(
 ) -> CheckReport:
     if m_max < 0 or k_max < 0 or n_max < 0:
         raise ValueError("bounds must be >= 0")
-    w = Constant(cval)
+    cols = columns(Constant(cval), range(k_max + 1), 2 * n_max + m_max + 2 * k_max)
     run = _Run()
     for m in range(m_max + 1):
         for k in range(k_max + 1):
-            _backward_shift_into(run, w, m, k, n_max, {}, {"m": m, "k": k})
+            _backward_shift_into(run, cols, cols, m, k, n_max, {}, {"m": m, "k": k})
     params = {"c": render(cval), "m_max": m_max, "k_max": k_max, "n_max": n_max}
     return _report("theorem2", params, run)
 
@@ -264,11 +268,11 @@ def check_theorem2(
 def check_corollary6(cval: RingElement, k_max: int, n_max: int) -> CheckReport:
     if k_max < 0 or n_max < 0:
         raise ValueError("bounds must be >= 0")
-    w = Constant(cval)
+    cols = columns(Constant(cval), range(k_max + 1), max(0, 2 * (n_max - 1)))
     run = _Run()
     for k in range(k_max + 1):
         sgn = parity_sign(k)
-        for size, lhs in enumerate(hankel_dets(w, 0, k, n_max)):
+        for size, lhs in enumerate(column_dets(cols[k], 0, n_max)):
             if size % (k + 1) == 0:
                 n = size // (k + 1)
                 run.check(
@@ -296,9 +300,9 @@ def check_identities7_8(
 ) -> CheckReport:
     if k_max < 0 or n_max < 0:
         raise ValueError("bounds must be >= 0")
-    w = Constant(cval)
+    cols = columns(Constant(cval), range(k_max + 1), 2 * n_max)
     run = _Run()
-    flat, once, twice = (hankel_dets(w, m, 0, n_max) for m in range(3))
+    flat, once, twice = (column_dets(cols[0], m, n_max) for m in range(3))
     fib_sq_sum: RingElement = 0
     for n in range(n_max + 1):
         fib = fibonacci_poly(n + 1).evaluate(cval)
@@ -308,7 +312,7 @@ def check_identities7_8(
         run.check({"clause": "fibonacci-square-sum", "n": n}, twice[n], fib_sq_sum)
     for k in range(k_max + 1):
         span = k + 1
-        for size, lhs in enumerate(hankel_dets(w, 1, k, n_max)):
+        for size, lhs in enumerate(column_dets(cols[k], 1, n_max)):
             r = size % span
             if r == 0:
                 n = size // span
@@ -342,13 +346,14 @@ def check_conjectures9_10(
 ) -> CheckReport:
     if m_max < 0 or k_max < 0 or n_max < 0:
         raise ValueError("bounds must be >= 0")
-    w = Constant(cval)
     run = _Run()
     # one elimination per (shift, column); eq9 and eq10 share shift 2
     pairs = {(2, k) for k in range(1, k_max + 1)} | {
         (m, k) for m in range(m_max + 1) for k in range(max(0, m - 1), k_max + 1)
     }
-    dets = {(m, k): hankel_dets(w, m, k, n_max) for m, k in pairs}
+    depth = max(0, 2 * (n_max - 1) + max(m for m, _ in pairs))
+    cols = columns(Constant(cval), range(k_max + 1), depth)
+    dets = {(m, k): column_dets(cols[k], m, n_max) for m, k in pairs}
 
     # guessed closed forms for shift m = 2, columns k >= 1
     for k in range(1, k_max + 1):
@@ -430,7 +435,7 @@ def check_series_identities(
     if order < 2 * k_max + 4:
         raise ValueError(f"order {order} too small: need >= {2 * k_max + 4}")
     a = motzkin_series(cval, order)
-    table = admissible_table(Constant(cval), order - 1)
+    cols = columns(Constant(cval), range(k_max + 1), order - 1)
     run = _Run()
     powers = {0: TruncatedSeries.one(order)}
     for k in range(k_max + 1):
@@ -440,7 +445,7 @@ def check_series_identities(
             run.check(
                 {"clause": "coefficient-bridge", "k": k, "n": n},
                 shifted[n],
-                column(table, k, n),
+                cols[k][n],
             )
     residual = (
         TruncatedSeries.monomial(2, order) * a * a
@@ -470,12 +475,12 @@ def check_series_identities(
 def check_theorem3(cval: RingElement, k_max: int, n_max: int) -> CheckReport:
     if k_max < 0 or n_max < 0:
         raise ValueError("bounds must be >= 0")
-    w = Constant(cval)
+    cols = columns(Constant(cval), range(k_max + 1), 2 * n_max + k_max)
     run = _Run()
     for k in range(k_max + 1):
         b = reciprocal_power_coeffs(cval, k, 2 * n_max + 1)
         lhs = hankel_minors(b, n_max + 1)
-        for n, rhs in enumerate(hankel_dets(w, k + 2, k, n_max)):
+        for n, rhs in enumerate(column_dets(cols[k], k + 2, n_max)):
             if n % 2:
                 rhs = -rhs
             run.check({"k": k, "n": n}, lhs[n + 1], rhs)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from catalan_hankel import cli, hankel
+from catalan_hankel import cli, hankel, sequences, verify
 from catalan_hankel.cli import (
     DET_MAX_N,
     SEQ_MAX_N,
@@ -14,13 +15,14 @@ from catalan_hankel.cli import (
     SERIES_MAX_ORDER,
     SYMBOLIC_SHARE,
     TABLE_MAX_N,
+    VERIFY_RANGES,
     emit_report,
     main,
 )
 from catalan_hankel.hankel import InternalDivisionError
 from catalan_hankel.ring import NotDivisibleError
 from catalan_hankel.series import motzkin_power
-from catalan_hankel.verify import check_conjectures9_10, check_theorem3
+from catalan_hankel.verify import CLAIMS, check_conjectures9_10, check_theorem3
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +54,17 @@ def test_seq_json_symbolic(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"weights": "const:c", "k": 0, "values": [1, "c", "1 + c^2"]}
+
+
+def test_seq_streams_its_column_without_the_whole_triangle(capsys, monkeypatch):
+    def whole_triangle(*args):
+        raise AssertionError("seq built the whole triangle")
+
+    monkeypatch.setattr(cli, "admissible_table", whole_triangle)
+    monkeypatch.setattr(sequences, "admissible_table", whole_triangle)
+    code, out, _ = run_cli(capsys, "seq", "--weights", "const:1", "--k", "2", "--n", "9")
+    assert code == 0
+    assert out == "0,0,1,3,9,25,69,189,518\n"
 
 
 def test_seq_output_is_byte_stable(capsys):
@@ -154,9 +167,9 @@ def _stub(monkeypatch, kernel):
 # (command, kernel it calls, largest accepted value, error above it)
 _SYM = SYMBOLIC_SHARE
 _CEILINGS = [
-    ("seq --weights const:1 --n {}", "admissible_table", SEQ_MAX_N,
+    ("seq --weights const:1 --n {}", "columns", SEQ_MAX_N,
      f"--n must be in 1..{SEQ_MAX_N}\n"),
-    ("seq --weights const:c --n {}", "admissible_table", SEQ_MAX_N // _SYM,
+    ("seq --weights const:c --n {}", "columns", SEQ_MAX_N // _SYM,
      f"--n must be in 1..{SEQ_MAX_N // _SYM} for weights holding c\n"),
     ("table --weights const:1 --n-max {}", "admissible_table", TABLE_MAX_N,
      f"--n-max must be in 0..{TABLE_MAX_N}\n"),
@@ -179,9 +192,9 @@ _CEILINGS = [
      "--n must be in 0..153 for weights of 20 bits\n"),
     ("det --weights const:1000000 --n 1 --m {}", "hankel_det", 510,
      "the triangle depth 2(n-1)+m must be in 0..510 for weights of 20 bits\n"),
-    ("seq --weights const:1000000 --n {}", "admissible_table", 1021,
+    ("seq --weights const:1000000 --n {}", "columns", 1021,
      "--n must be in 1..1021 for weights of 20 bits\n"),
-    ("seq --weights explicit:c,-1000000 --n {}", "admissible_table", 204,
+    ("seq --weights explicit:c,-1000000 --n {}", "columns", 204,
      "--n must be in 1..204 for weights of 20 bits\n"),
     ("table --weights const:1000000 --n-max {}", "admissible_table", 510,
      "--n-max must be in 0..510 for weights of 20 bits\n"),
@@ -244,13 +257,109 @@ def _benchmark_invocations(monkeypatch):
     ]
 
 
+def _stub_checkers(monkeypatch):
+    """Replace every checker a verify run can call with one raising _Reached."""
+
+    def reached(*args, **kwargs):
+        raise _Reached("checker")
+
+    for claim_id, claim in CLAIMS.items():
+        monkeypatch.setitem(CLAIMS, claim_id, dataclasses.replace(claim, check=reached))
+    monkeypatch.setattr(verify, "check_theorem1", reached)
+
+
 def test_every_benchmark_invocation_passes_the_input_checks(monkeypatch):
-    kernels = {"verify": "_run_claim", "series": "motzkin_power", "det": "hankel_det"}
-    for kernel in kernels.values():
-        _stub(monkeypatch, kernel)
+    kernels = {"verify": "checker", "series": "motzkin_power", "det": "hankel_det"}
+    _stub(monkeypatch, "motzkin_power")
+    _stub(monkeypatch, "hankel_det")
+    _stub_checkers(monkeypatch)
     for argv in _benchmark_invocations(monkeypatch):
         with pytest.raises(_Reached, match=kernels[argv[0]]):
             main(argv)
+
+
+# (flag, a claim that takes it, whether that claim takes --c)
+_VERIFY_CEILINGS = [
+    ("--trials", "lemma13", False),
+    ("--trials", "theorem1", False),
+    ("--order", "series_identities", True),
+    ("--order", "lemma13", False),
+    ("--m-max", "theorem2", True),
+    ("--m-max", "theorem1", False),
+    ("--k-max", "corollary6", True),
+    ("--n-max", "corollary6", True),
+    ("--n-max", "lemma13", False),
+]
+
+
+def _verify_range(flag):
+    return VERIFY_RANGES[flag[2:].replace("-", "_")]
+
+
+@pytest.mark.parametrize("flag, claim, takes_c", _VERIFY_CEILINGS)
+def test_verify_ceiling_admits_its_largest_value(monkeypatch, flag, claim, takes_c):
+    _stub_checkers(monkeypatch)
+    lo, hi = _verify_range(flag)
+    for value in (lo, hi):
+        with pytest.raises(_Reached):
+            main(["verify", claim, flag, str(value)])
+
+
+@pytest.mark.parametrize("flag, claim, takes_c", _VERIFY_CEILINGS)
+def test_verify_ceiling_rejects_the_next_value_before_any_work(
+    capsys, monkeypatch, flag, claim, takes_c
+):
+    _stub_checkers(monkeypatch)
+    lo, hi = _verify_range(flag)
+    for value in (lo - 1, hi + 1):
+        code, out, err = run_cli(capsys, "verify", claim, flag, str(value))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} must be in {lo}..{hi}\n"
+
+
+@pytest.mark.parametrize("flag, claim, takes_c", _VERIFY_CEILINGS)
+def test_verify_ceiling_for_symbolic_c(capsys, monkeypatch, flag, claim, takes_c):
+    # a fifth of the ceiling for a claim computing with --c sym; the seeded
+    # claims never read c and keep theirs
+    _stub_checkers(monkeypatch)
+    lo, hi = _verify_range(flag)
+    top = hi // SYMBOLIC_SHARE if takes_c else hi
+    with pytest.raises(_Reached):
+        main(["verify", claim, "--c", "sym", flag, str(top)])
+    code, out, err = run_cli(capsys, "verify", claim, "--c", "sym", flag, str(top + 1))
+    assert code == 2
+    assert out == ""
+    holding_c = " for weights holding c" if takes_c else ""
+    assert err == f"error: {flag} must be in {lo}..{top}{holding_c}\n"
+
+
+def test_verify_ceiling_for_a_large_integer_c(capsys, monkeypatch):
+    # 51**3 <= WEIGHT_BITS_WORK * 100**3 / ((20 + 1) * (20 + 250)) < 52**3
+    _stub_checkers(monkeypatch)
+    assert VERIFY_RANGES["n_max"][1] == 100
+    with pytest.raises(_Reached):
+        main(["verify", "corollary6", "--c", str(10**6), "--n-max", "51"])
+    code, out, err = run_cli(capsys, "verify", "corollary6", "--c", str(10**6), "--n-max", "52")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --n-max must be in 0..51 for weights of 20 bits\n"
+
+
+def test_verify_all_checks_every_claim_before_any_runs(capsys, monkeypatch):
+    ran = []
+    for claim_id, claim in CLAIMS.items():
+        monkeypatch.setitem(
+            CLAIMS, claim_id, dataclasses.replace(claim, check=lambda **kw: ran.append(kw))
+        )
+    # --order is taken by lemma13 (runs first) and by series_identities,
+    # whose symbolic ceiling it exceeds
+    top = VERIFY_RANGES["order"][1] // SYMBOLIC_SHARE
+    code, out, err = run_cli(capsys, "verify", "all", "--c", "sym", "--order", str(top + 1))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --order must be in 1..{top} for weights holding c\n"
+    assert ran == []
 
 
 @pytest.mark.parametrize(

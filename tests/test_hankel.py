@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from catalan_hankel.hankel import (
+    InternalDivisionError,
+    column_dets,
     det_fraction_free,
     hankel_det,
     hankel_dets,
     hankel_minors,
     leading_minors,
 )
-from catalan_hankel.ring import C, eval_at
+from catalan_hankel.ring import C, NotDivisibleError, eval_at
 from catalan_hankel.sequences import Constant, Explicit, admissible_table, shift
 
 from oracles import det_bareiss_per_size, det_cofactor, hankel_rows, perm_sign
@@ -178,6 +180,28 @@ def test_leading_minors_symbolic_zeros_compare_by_value():
     assert leading_minors([[0, C], [C, 1]]) == [1, 0, -C * C]
 
 
+class _RemainderDivisor(int):
+    """A pivot whose every division leaves a remainder."""
+
+    def __rdivmod__(self, other):
+        return other // int(self), 1
+
+
+class _LeadingCoefficientDivisor(int):
+    """A pivot whose every division fails on a leading coefficient."""
+
+    def __rdivmod__(self, other):
+        raise NotDivisibleError(f"{other} is not divisible by {int(self)}")
+
+
+@pytest.mark.parametrize("divisor", [_RemainderDivisor, _LeadingCoefficientDivisor])
+def test_leading_minors_check_every_quotient(divisor):
+    # step 0 divides by 1; step 1 divides by the first pivot, the broken one
+    rows = [[divisor(2), 1, 1], [1, 2, 1], [1, 1, 2]]
+    with pytest.raises(InternalDivisionError, match="elimination step 1"):
+        leading_minors(rows)
+
+
 HANKEL_WEIGHTS = st.one_of(
     st.sampled_from((Constant(C), Constant(1), Constant(0))),
     st.lists(ZERO_HEAVY, max_size=6).map(lambda p: shift(Explicit(tuple(p), 0))),
@@ -191,6 +215,36 @@ def test_hankel_dets_match_per_size_bareiss(w, m, k, n_max):
     for n, value in enumerate(dets):
         table = admissible_table(w, max(0, 2 * (n - 1) + m))
         assert value == det_bareiss_per_size(hankel_rows(table, m, k, n))
+
+
+DJ_WEIGHTS = st.one_of(
+    st.integers(-3, 3).map(Constant),
+    st.lists(ZERO_HEAVY, max_size=6).map(lambda p: Explicit(tuple(p), 0)),
+    st.lists(ZERO_HEAVY, max_size=6).map(lambda p: shift(Explicit(tuple(p), 0))),
+    st.just(Constant(C)),
+)
+
+
+@given(DJ_WEIGHTS, st.integers(-6, 3), st.integers(0, 2), st.integers(2, 8))
+def test_hankel_dets_satisfy_desnanot_jacobi_across_shifts(w, m, k, n_max):
+    # condensation of the (n+1) x (n+1) matrix of shift m: its corner minors
+    # are the matrices of shifts m, m+1 (twice) and m+2, whatever the pivots
+    d0, d1, d2 = (hankel_dets(w, m + i, k, n_max) for i in range(3))
+    for n in range(1, n_max):
+        assert d0[n + 1] * d2[n - 1] == d0[n] * d2[n] - d1[n] * d1[n]
+
+
+def test_column_dets_read_zeros_before_row_zero():
+    col = [1, 1, 2, 4, 9]  # Motzkin numbers
+    assert column_dets(col, 0, 3) == [1, 1, 1, 1]
+    assert column_dets(col, -2, 3) == [1, 0, 0, -1]
+    assert column_dets(col, -9, 3) == [1, 0, 0, 0]
+    with pytest.raises(ValueError):
+        column_dets(col, 1, 3)  # needs rows 1..5
+
+
+def test_a_far_negative_shift_reads_only_the_zeros_it_needs():
+    assert hankel_dets(Constant(1), -(10**15), 0, 3) == [1, 0, 0, 0]
 
 
 def test_hankel_det_size_zero_is_one():

@@ -112,6 +112,77 @@ def test_integer_exact_div_round_trip(a, b):
         assert exact_div(a * b, b) == a
 
 
+# ring elements of both kinds, for the division properties
+elements = st.one_of(st.integers(-50, 50), polys)
+
+
+@given(elements, elements.filter(bool))
+def test_divmod_and_exact_div_round_trip(a, b):
+    assert exact_div(a * b, b) == a
+    q, r = divmod(a * b, b)
+    assert q == a and not r
+    assert as_poly(a * b).exact_div(b) == a
+
+
+@given(elements, polys.filter(lambda p: p.degree() >= 1), coeff_lists)
+def test_a_remainder_of_lower_degree_is_returned_and_rejected(a, b, low):
+    r = Polynomial(low[: b.degree()])
+    if not r:
+        r = Polynomial((1,))
+    assert divmod(a * b + r, b) == (a, r)
+    with pytest.raises(NotDivisibleError):
+        exact_div(a * b + r, b)
+    with pytest.raises(NotDivisibleError):
+        as_poly(a * b + r).exact_div(b)
+
+
+@given(elements, st.integers(2, 50), st.booleans(), st.data())
+def test_a_nonzero_integer_remainder_is_rejected(a, size, negative, data):
+    b = -size if negative else size
+    r = data.draw(st.integers(1, size - 1))
+    with pytest.raises(NotDivisibleError):
+        exact_div(a * b + r, b)
+
+
+@given(coeff_lists, polys.filter(lambda p: p.degree() >= 0), st.integers(2, 9), st.data())
+def test_a_leading_coefficient_that_does_not_divide_raises(low, b, lead, data):
+    # top coefficient t of the dividend is not a multiple of the divisor's lead
+    divisor = Polynomial(b.coeffs[:-1] + (lead,))
+    t = lead * data.draw(st.integers(-5, 5)) + data.draw(st.integers(1, lead - 1))
+    dividend = Polynomial(low + [0] * divisor.degree() + [t])
+    with pytest.raises(NotDivisibleError):
+        divmod(dividend, divisor)
+    with pytest.raises(NotDivisibleError):
+        exact_div(dividend, divisor)
+
+
+@given(elements)
+def test_a_zero_divisor_raises(a):
+    for zero in (0, Polynomial()):
+        with pytest.raises(ZeroDivisionError):
+            divmod(a, zero)
+        with pytest.raises(ZeroDivisionError):
+            exact_div(a, zero)
+        with pytest.raises(ZeroDivisionError):
+            as_poly(a).exact_div(zero)
+
+
+def test_divmod_mixes_ints_and_polynomials():
+    assert divmod(C * C - 1, C - 1) == (C + 1, 0)
+    assert divmod(3, C) == (0, 3)
+    with pytest.raises(NotDivisibleError):
+        divmod(2 * C + 7, 2)  # a constant divisor divides every coefficient or fails
+    assert divmod(6 * C + 4, 2) == (3 * C + 2, 0)
+    assert divmod(Polynomial((7,)), 7) == (1, 0)
+    assert divmod(7, Polynomial((7,))) == (1, 0)
+
+
+@given(elements, elements)
+def test_subtraction_matches_adding_the_negation(a, b):
+    assert a - b == a + (-b)
+    assert (a - b) + b == a
+
+
 @given(polys, polys, st.integers(-5, 5))
 def test_eval_is_ring_homomorphism(p, q, t):
     assert (p * q).evaluate(t) == p.evaluate(t) * q.evaluate(t)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from catalan_hankel.ring import C
 from catalan_hankel.sequences import (
@@ -12,6 +12,7 @@ from catalan_hankel.sequences import (
     TooLargeError,
     admissible_table,
     column,
+    columns,
     parse_weight_spec,
     paths_oracle,
     shift,
@@ -98,6 +99,38 @@ def test_column_beyond_depth_raises():
 def test_table_validates_depth():
     with pytest.raises(ValueError):
         admissible_table(Constant(1), -1)
+
+
+COLUMN_SPECS = st.one_of(
+    st.integers(-3, 3).map(Constant),
+    st.sampled_from((Constant(C), Constant(C + 1))),
+    int_specs,
+    st.builds(Shifted, int_specs, st.integers(0, 4)),
+    st.builds(
+        Explicit,
+        st.lists(st.sampled_from((0, 0, 1, -2, C)), max_size=5).map(tuple),
+        st.sampled_from((0, 1, C)),
+    ),
+)
+
+
+@given(COLUMN_SPECS, st.lists(st.integers(0, 14), max_size=5), st.integers(0, 12))
+@example(Constant(1), [0, 3, 7], 0)
+@example(Constant(C), [2, 9], 12)
+def test_columns_match_the_whole_triangle(w, ks, depth):
+    table = admissible_table(w, depth)
+    cols = columns(w, ks, depth)
+    assert set(cols) == set(ks)
+    for k in ks:
+        assert cols[k] == [column(table, k, r) for r in range(depth + 1)]
+
+
+def test_columns_validate_their_arguments():
+    assert columns(Constant(1), [], 3) == {}
+    with pytest.raises(ValueError):
+        columns(Constant(1), [0], -1)
+    with pytest.raises(ValueError):
+        columns(Constant(1), [2, -1], 3)
 
 
 def test_paths_trivial_length_zero():

@@ -5,7 +5,7 @@ import pytest
 from catalan_hankel import hankel, series, verify
 from catalan_hankel.hankel import hankel_det
 from catalan_hankel.ring import C, parity_sign
-from catalan_hankel.sequences import Constant, Explicit
+from catalan_hankel.sequences import Constant, Explicit, shift
 from catalan_hankel.series import TruncatedSeries, motzkin_series
 from catalan_hankel.verify import (
     CLAIM_IDS,
@@ -199,18 +199,41 @@ def test_identities7_8_more_weights():
 
 def test_checkers_eliminate_once_per_shift_and_column(monkeypatch):
     sizes = []
+    specs = []
     real = hankel.leading_minors
+    real_columns = verify.columns
 
     def counting(rows):
         sizes.append(len(rows))
         return real(rows)
 
+    def counting_columns(w, ks, depth):
+        specs.append(w)
+        return real_columns(w, ks, depth)
+
     monkeypatch.setattr(hankel, "leading_minors", counting)
+    monkeypatch.setattr(verify, "columns", counting_columns)
     assert check_corollary6(1, 6, 30).status == "verified"
     assert len(sizes) == 7  # one per column k
+    assert specs == [Constant(1)]  # one column source per weight spec
     sizes.clear()
+    specs.clear()
     assert check_identities7_8(1, 3, 24).status == "verified"
     assert len(sizes) == 3 + 4  # shifts 0..2 of column 0, then shift 1 per k
+    assert specs == [Constant(1)]
+    for check, args in (
+        (check_theorem2, (2, 3, 3, 5)),
+        (check_conjectures9_10, (1, 3, 3, 8)),
+        (check_series_identities, (1, 4, 16)),
+        (check_theorem3, (1, 3, 5)),
+    ):
+        specs.clear()
+        check(*args)
+        assert specs == [Constant(args[0])], check.__name__
+    specs.clear()
+    w = Explicit((1, -2, 0), 1)
+    assert check_theorem1(w, 3, 5).status == "verified"
+    assert specs == [w, shift(w)]  # w for the backward side, shift(w) forward
 
 
 # -- conjectures ------------------------------------------------------------
