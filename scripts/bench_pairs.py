@@ -1,14 +1,15 @@
 """Alternating parent/change runs of the benchmark, summarised into one file.
 
     python3 scripts/bench_pairs.py --parent <git ref> --workload grid-int \
-        --pairs 10 --out BENCH_<tag>.json [--seconds 40] [--seed 101]
+        --pairs 10 --out BENCH_<tag>.json
 
 Run from the root of a git checkout.  The parent ref is exported with
 ``git archive`` into a temporary directory.  Each pair runs
 ``perfbench/run.py`` once on the parent and once on the checkout, with the
-same workload seed (``--seed`` plus the pair index), and alternates which
-side goes first, so slow drift of the machine's speed hits both sides
-alike.  Each side runs its own ``perfbench/``.
+same workload seed (FIRST_SEED plus the pair index) and the run length
+``run_seconds`` of ``BENCHMARK.json``, and alternates which side goes
+first, so slow drift of the machine's speed hits both sides alike.  Each
+side runs its own ``perfbench/``.
 
 For every end-to-end metric, the output file records each side's median
 and quartiles over the pairs and the number of pairs the change won (a tie
@@ -28,6 +29,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Workload seed of the first pair; pair i runs seed FIRST_SEED + i.
+FIRST_SEED = 101
 
 
 def export(ref: str, dest: Path) -> str:
@@ -88,24 +91,23 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--seconds", type=float, default=40.0, help="per run (default 40)")
-    parser.add_argument("--seed", type=int, default=101, help="seed of the first pair")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     with tempfile.TemporaryDirectory() as tmp:
         commit = export(args.parent, Path(tmp))
         parent = Path(tmp) / "tree"
         pairs = []
         for i in range(args.pairs):
-            seed = args.seed + i
+            seed = FIRST_SEED + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 checkout = parent if side == "parent" else ROOT
-                pair[side] = run_once(checkout, args.workload, seed, args.seconds)
+                pair[side] = run_once(checkout, args.workload, seed, seconds)
             pairs.append(pair)
             print(json.dumps({"pair": i, "seed": seed, **{
                 side: pair[side]["result"]["metrics"]["wall_s"]["value"]
@@ -115,10 +117,10 @@ def main(argv=None):
         "parent": args.parent,
         "parent_commit": commit,
         "pairs": args.pairs,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "failed": {side: sum(p[side]["result"]["failed"] for p in pairs)
                    for side in ("parent", "change")},
-        "metrics": summarise(pairs, spec),
+        "metrics": summarise(pairs, spec["end_to_end"]),
         "runs": [
             {"seed": p["seed"], "first": p["first"], **{
                 side: {"passes": p[side]["passes"], **{

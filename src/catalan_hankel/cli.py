@@ -49,14 +49,20 @@ SYMBOLIC_SHARE = 5
 #: `table --n-max 182` of 248-bit weights (the slowest shape) 10 s.
 WEIGHT_BITS_WORK = 3 * 252
 #: The range of each verify bound flag, by argparse dest, checked for every
-#: claim a run names before any claim runs.  For claims that take --c, the
-#: ceiling is lowered as for seq/table/det: to a fifth for --c sym, and by
-#: WEIGHT_BITS_WORK for an integer c of more than 2 bits.  One flag at its
+#: claim a run names before any claim runs.  The weights a claim computes
+#: with lower its ceilings as for seq/table/det, but never below the
+#: claim's default: --c for the claims that take it, and theorem1's
+#: --weights at the heights 0..2 n_max + m_max it reads.  One flag at its
 #: ceiling, the others at their defaults, c = 1, the slowest claim takes:
 #: --n-max 100 47 s (theorem1), --k-max 100 12 s (theorem2), --m-max 50
 #: 10 s (theorem1), --trials 10000 6 s (theorem1), --order 500 3 s
 #: (lemma13); with --c sym, --order 100 6 s (series_identities) and
-#: --n-max 20 9 s (theorem2).
+#: --n-max 20 9 s (theorem2); theorem1 --weights const:c --n-max 20 2 s.
+#: At the edges of the weight-bit rule verify takes at most 6.4 s for
+#: c = 10**6 (theorem2 --n-max 51) and 1.4 s for c = 10**200; without the
+#: lowering, theorem2 --c 10**6 --n-max 100 takes 155 s; at c = 10**200,
+#: and theorem1 with --weights const:c or const:10**1000 (1 GB), --n-max
+#: 100 did not finish in 300 s.
 VERIFY_RANGES = {
     "trials": (1, 10000),
     "order": (1, 500),
@@ -155,36 +161,47 @@ def _claim_call(ns, claim_id, cval):
     unused = [n for n in VERIFY_RANGES if getattr(ns, n) is not None and n not in taken]
     unused += ["weights"] if ns.weights is not None and weights is None else []
     if unused and ns.claim != "all":
-        flags = ", ".join("--" + n.replace("_", "-") for n in unused)
+        flags = ", ".join(_flag(n) for n in unused)
         where = "" if weights is None else " --weights"
         raise ValueError(f"verify {claim_id}{where} does not take {flags}")
     bounds = {n: claim.defaults[n] if getattr(ns, n) is None else getattr(ns, n) for n in taken}
-    w = Constant(cval) if claim.arg == "cval" else None
-    for name, value in bounds.items():
-        _check_range("--" + name.replace("_", "-"), value, *VERIFY_RANGES[name], w)
+    for name, value in bounds.items():  # first, as theorem1's depth is read off two
+        _check_range(_flag(name), value, *VERIFY_RANGES[name])
+    w, depth = None, 0
     if weights is not None:
-        return functools.partial(verify_mod.check_theorem1, parse_weight_spec(weights), **bounds)
+        w, depth = parse_weight_spec(weights), 2 * bounds["n_max"] + bounds["m_max"]
+    elif claim.arg == "cval":
+        w = Constant(cval)
+    for name, value in bounds.items():
+        _check_range(_flag(name), value, *VERIFY_RANGES[name], w, depth, claim.defaults[name])
+    if weights is not None:
+        return functools.partial(verify_mod.check_theorem1, w, **bounds)
     lead = ns.rng_seed if claim.arg == "seed" else cval
     return functools.partial(claim.check, **{claim.arg: lead}, **bounds)
 
 
-def _check_range(name, value, lo, hi, w=None, depth=0):
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
+def _check_range(name, value, lo, hi, w=None, depth=0, keep=0):
     """Reject value outside lo..hi before any work.  With weights w, the
     heights 0..depth lower hi: by SYMBOLIC_SHARE if one holds c, then by
-    WEIGHT_BITS_WORK for the largest bit length of an integer weight."""
+    WEIGHT_BITS_WORK for the largest bit length of an integer weight; it is
+    never lowered below keep."""
     if not lo <= value <= hi:
         raise ValueError(f"{name} must be in {lo}..{hi}")
-    if w is None:
+    if w is None or value <= keep:
         return
     weights = [w.at(j) for j in range(depth + 1)]
     if any(isinstance(v, Polynomial) for v in weights):
-        hi //= SYMBOLIC_SHARE
+        hi = max(keep, hi // SYMBOLIC_SHARE)
         if value > hi:
             raise ValueError(f"{name} must be in {lo}..{hi} for weights holding c")
     bits = max((v.bit_length() for v in weights if isinstance(v, int)), default=0)
     budget = WEIGHT_BITS_WORK * hi**3 // ((bits + 1) * (bits + 250))
     if value**3 > budget:
-        top = max(n for n in range(hi + 1) if n**3 <= budget)
+        top = max(keep, max(n for n in range(hi + 1) if n**3 <= budget))
         raise ValueError(f"{name} must be in {lo}..{top} for weights of {bits} bits")
 
 

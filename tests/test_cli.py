@@ -22,7 +22,13 @@ from catalan_hankel.cli import (
 from catalan_hankel.hankel import InternalDivisionError
 from catalan_hankel.ring import NotDivisibleError
 from catalan_hankel.series import motzkin_power
-from catalan_hankel.verify import CLAIMS, check_conjectures9_10, check_theorem3
+from catalan_hankel.verify import (
+    CLAIM_IDS,
+    CLAIMS,
+    CheckReport,
+    check_conjectures9_10,
+    check_theorem3,
+)
 
 
 def run_cli(capsys, *argv):
@@ -344,6 +350,68 @@ def test_verify_ceiling_for_a_large_integer_c(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == "error: --n-max must be in 0..51 for weights of 20 bits\n"
+
+
+# theorem1 --weights: (spec, flag, largest accepted value, error above it);
+# the weights lower the ceilings as --c does, never below theorem1's
+# defaults m_max 3, n_max 6
+_BIG = 10**1000
+_THEOREM1_WEIGHT_CEILINGS = [
+    ("const:c", "--n-max", 20, "--n-max must be in 0..20 for weights holding c"),
+    ("const:c", "--m-max", 10, "--m-max must be in 0..10 for weights holding c"),
+    ("explicit:1,2;tail=c", "--n-max", 20, "--n-max must be in 0..20 for weights holding c"),
+    ("const:1000000", "--n-max", 51, "--n-max must be in 0..51 for weights of 20 bits"),
+    ("const:1000000", "--m-max", 25, "--m-max must be in 0..25 for weights of 20 bits"),
+    (f"const:{_BIG}", "--n-max", 6, "--n-max must be in 0..6 for weights of 3322 bits"),
+    (f"const:{_BIG}", "--m-max", 3, "--m-max must be in 0..3 for weights of 3322 bits"),
+]
+
+
+@pytest.mark.parametrize("spec, flag, top, error", _THEOREM1_WEIGHT_CEILINGS)
+def test_verify_theorem1_weights_lower_its_ceilings(capsys, monkeypatch, spec, flag, top, error):
+    _stub_checkers(monkeypatch)
+    with pytest.raises(_Reached):
+        main(["verify", "theorem1", "--weights", spec, flag, str(top)])
+    code, out, err = run_cli(capsys, "verify", "theorem1", "--weights", spec, flag, str(top + 1))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {error}\n"
+
+
+def test_verify_theorem1_weights_count_only_the_heights_read(capsys, monkeypatch):
+    # theorem1 reads heights 0..2 n_max + m_max: sixteen ones, then 10**1000
+    _stub_checkers(monkeypatch)
+    spec = "explicit:" + ",".join(["1"] * 16) + f";tail={_BIG}"
+    with pytest.raises(_Reached):
+        main(["verify", "theorem1", "--weights", spec, "--n-max", "7", "--m-max", "1"])
+    code, _, err = run_cli(
+        capsys, "verify", "theorem1", "--weights", spec, "--n-max", "7", "--m-max", "2"
+    )
+    assert code == 2
+    assert err == "error: --n-max must be in 0..6 for weights of 3322 bits\n"
+
+
+def test_verify_all_admits_every_default_at_any_c(capsys, monkeypatch):
+    # at 3322 bits the weight-bit rule alone would stop --n-max at 3, below
+    # corollary6's default 15, and --m-max at 1, below theorem2's default 3
+    ran = []
+
+    def checker(claim_id):
+        def check(**kwargs):
+            ran.append(claim_id)
+            return CheckReport(claim_id, kwargs, 0)
+
+        return check
+
+    for claim_id, claim in CLAIMS.items():
+        monkeypatch.setitem(CLAIMS, claim_id, dataclasses.replace(claim, check=checker(claim_id)))
+    for c in (str(_BIG), "sym"):
+        ran.clear()
+        code, _, err = run_cli(capsys, "verify", "all", "--c", c)
+        assert (code, err, ran) == (0, "", list(CLAIM_IDS))
+    code, _, err = run_cli(capsys, "verify", "theorem2", "--c", str(_BIG), "--m-max", "4")
+    assert code == 2
+    assert err == "error: --m-max must be in 0..3 for weights of 3322 bits\n"
 
 
 def test_verify_all_checks_every_claim_before_any_runs(capsys, monkeypatch):
