@@ -6,7 +6,6 @@ from .ring import (
     Polynomial,
     RingElement,
     as_poly,
-    eval_at,
     exact_div,
     parity_sign,
     render,
@@ -17,14 +16,11 @@ from .sequences import (
     Explicit,
     OutOfRangeError,
     Shifted,
-    TooLargeError,
     WeightSpec,
     admissible_table,
     column,
     parse_weight_spec,
-    paths_oracle,
     shift,
-    weight_at,
 )
 from .hankel import (
     InternalDivisionError,

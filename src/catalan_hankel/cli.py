@@ -16,7 +16,7 @@ import io
 import json
 import sys
 
-from .hankel import InternalDivisionError, hankel_det
+from .hankel import InternalDivisionError, hankel_det, table_depth
 from .ring import C, Polynomial, render
 from .sequences import Constant, admissible_table, columns, parse_weight_spec
 from .series import motzkin_power
@@ -154,7 +154,8 @@ def _claim_call(ns, claim_id, cval):
     """The call that runs one claim, unset bounds at its defaults, once its
     input checks pass; a claim named alone rejects flags it does not take.
     Only theorem1 takes --weights, which replaces its random trials by that
-    one weight spec."""
+    one weight spec.  An unset series_identities --order is at least the
+    least order its --k-max admits."""
     claim = CLAIMS[claim_id]
     weights = ns.weights if claim_id == "theorem1" else None
     taken = [n for n in claim.defaults if weights is None or n != "trials"]
@@ -165,6 +166,8 @@ def _claim_call(ns, claim_id, cval):
         where = "" if weights is None else " --weights"
         raise ValueError(f"verify {claim_id}{where} does not take {flags}")
     bounds = {n: claim.defaults[n] if getattr(ns, n) is None else getattr(ns, n) for n in taken}
+    if claim_id == "series_identities" and ns.order is None:
+        bounds["order"] = max(bounds["order"], verify_mod.series_min_order(bounds["k_max"]))
     for name, value in bounds.items():  # first, as theorem1's depth is read off two
         _check_range(_flag(name), value, *VERIFY_RANGES[name])
     w, depth = None, 0
@@ -239,7 +242,7 @@ def _cmd_table(ns) -> int:
 
 def _cmd_det(ns) -> int:
     w = parse_weight_spec(ns.weights)
-    depth = max(0, 2 * (ns.n - 1) + ns.m)
+    depth = table_depth(ns.m, ns.n)
     _check_range("the triangle depth 2(n-1)+m", depth, 0, TABLE_MAX_N, w, depth)
     _check_range("--n", ns.n, 0, DET_MAX_N, w, depth)
     value = hankel_det(w, ns.m, ns.k, ns.n)

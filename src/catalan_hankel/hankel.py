@@ -2,16 +2,18 @@
 
 Every determinant in the paper is a Hankel determinant: the n x n matrix
 whose (i, j) entry is term i+j of a sequence.  ``hankel_minors`` is the one
-place that builds such a matrix.  D(m, k, n) takes the terms a[t+m][k] of a
-shifted triangle column (``column_dets``, on a column streamed by
-``sequences.columns``); the shift m may be negative, in which case terms
-at negative row indices are 0.  One fraction-free (Bareiss) elimination of
-the largest matrix yields every size 0..n together: by Sylvester's identity
-each pivot is a leading principal minor.  Every intermediate stays in the
-coefficient ring.  Each elimination step is one ``divmod`` whose remainder
-must be zero, the same code for ints (the builtin, with no Python-level
-call) and Polynomials; a nonzero remainder, or a leading coefficient that
-does not divide, raises InternalDivisionError.
+place that builds such a matrix.  D(m, k, n) takes the terms a[t+m][k],
+t = 0..2(n - 1), of a shifted triangle column, so it reads rows up to
+2(n - 1) + m (``table_depth``); the shift m may be negative, in which case
+terms at negative row indices are 0.  ``hankel_dets`` answers a list of
+(m, k, n) requests from one ``sequences.columns`` call, to the deepest row
+any of them reads, and one elimination per (m, k).  One fraction-free
+(Bareiss) elimination of the largest matrix yields every size 0..n
+together: by Sylvester's identity each pivot is a leading principal minor.
+Every intermediate stays in the coefficient ring.  Each elimination step is
+one ``divmod`` whose remainder must be zero, the same code for ints (the
+builtin, with no Python-level call) and Polynomials; a nonzero remainder,
+or a leading coefficient that does not divide, raises InternalDivisionError.
 """
 
 from __future__ import annotations
@@ -93,26 +95,31 @@ def hankel_minors(terms, n: int) -> list:
     return leading_minors([terms[i : i + n] for i in range(n)])
 
 
-def column_dets(col, m: int, n_max: int) -> list:
-    """[D(m, k, n) for n = 0..n_max] from col = [a[0][k], a[1][k], ...].
+def table_depth(m: int, n: int) -> int:
+    """The deepest triangle row D(m, k, n) reads: 2(n - 1) + m, or 0."""
+    return max(0, 2 * (n - 1) + m)
 
-    The terms are col[t + m], 0 where t + m < 0; col needs the entries up
-    to row 2(n_max - 1) + m.
+
+def hankel_dets(w: WeightSpec, requests) -> dict:
+    """{(m, k): [D(m, k, n) for n = 0..N]} for requests (m, k, n), N the
+    largest n requested for (m, k): each (m, k) is eliminated once.
+
+    All columns come from one ``columns`` call, as deep as the requests
+    of size >= 1 read; a size-0 determinant reads nothing and is 1.
     """
-    zeros = min(max(-m, 0), 2 * n_max)
-    return hankel_minors([0] * zeros + col[max(m, 0) :], n_max)
-
-
-def hankel_dets(w: WeightSpec, m: int, k: int, n_max: int) -> list:
-    """[D(m, k, n) for n = 0..n_max] from one column and one elimination."""
-    if n_max < 0:
-        raise ValueError("matrix size must be >= 0")
-    if n_max == 0:
-        return [1]
-    depth = max(0, 2 * (n_max - 1) + m)
-    return column_dets(columns(w, [k], depth)[k], m, n_max)
+    sizes: dict = {}
+    for m, k, n in requests:
+        if n < 0:
+            raise ValueError("matrix size must be >= 0")
+        sizes[m, k] = max(n, sizes.get((m, k), 0))
+    depth = max((table_depth(m, n) for (m, _), n in sizes.items() if n), default=0)
+    cols = columns(w, sorted({k for _, k in sizes}), depth)
+    return {
+        (m, k): hankel_minors([0] * min(max(-m, 0), 2 * n) + cols[k][max(m, 0) :], n)
+        for (m, k), n in sizes.items()
+    }
 
 
 def hankel_det(w: WeightSpec, m: int, k: int, n: int) -> RingElement:
     """D(m, k, n) for weights w."""
-    return hankel_dets(w, m, k, n)[n]
+    return hankel_dets(w, [(m, k, n)])[m, k][n]

@@ -100,9 +100,6 @@ class Polynomial:
         """Degree of the leading term; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -284,13 +281,6 @@ def exact_div(a: RingElement, b: RingElement) -> RingElement:
     if r:
         raise NotDivisibleError(f"{a} is not divisible by {b}")
     return q
-
-
-def eval_at(value: RingElement, point: int) -> RingElement:
-    """Evaluate a ring element at c = point (ints are already values)."""
-    if isinstance(value, Polynomial):
-        return value.evaluate(point)
-    return value
 
 
 def render(value: RingElement) -> str:

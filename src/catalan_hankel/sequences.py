@@ -9,8 +9,7 @@ from a[0][k] = [k == 0], which counts weighted 3-step lattice paths
 (up/down/level, level steps at height j weighing s_j).  Two readers share
 the one row step: ``columns`` streams the few columns a determinant or a
 dump needs, holding one row at a time, and ``admissible_table`` keeps every
-row, for printing the whole triangle.  A brute-force path enumerator is
-kept alongside as an independent oracle.
+row, for printing the whole triangle.
 """
 
 from __future__ import annotations
@@ -20,16 +19,9 @@ from dataclasses import dataclass
 
 from .ring import C, RingElement, render
 
-#: Path enumeration is exponential; refuse lengths beyond this.
-ORACLE_LIMIT = 14
-
 
 class OutOfRangeError(IndexError):
     """A row beyond the table's depth was requested; rebuild deeper."""
-
-
-class TooLargeError(ValueError):
-    """Path enumeration was asked for a length beyond ORACLE_LIMIT."""
 
 
 class WeightSpec:
@@ -96,11 +88,6 @@ class Shifted(WeightSpec):
 
     def describe(self):
         return f"shift^{self.offset}:{self.base.describe()}"
-
-
-def weight_at(w: WeightSpec, k: int) -> RingElement:
-    """s_k as w defines it."""
-    return w.at(k)
 
 
 def shift(w: WeightSpec) -> WeightSpec:
@@ -174,34 +161,6 @@ def column(table: AdmissibleTable, k: int, n: int) -> RingElement:
     if n > table.max_n:
         raise OutOfRangeError(f"row {n} exceeds table depth {table.max_n}")
     return table.rows[n][k] if k <= n else 0
-
-
-def paths_oracle(w: WeightSpec, n: int, k: int) -> RingElement:
-    """Weight of all up/down/level paths of length n from height 0 to k.
-
-    Exhaustive enumeration, independent of the triangle recurrence; the
-    guard keeps the 3**n search tractable.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("length and height must be >= 0")
-    if n > ORACLE_LIMIT:
-        raise TooLargeError(f"path length {n} exceeds oracle limit {ORACLE_LIMIT}")
-    total = 0
-
-    def walk(steps, height, weight):
-        nonlocal total
-        if abs(height - k) > steps:
-            return
-        if steps == 0:
-            total += weight
-            return
-        walk(steps - 1, height + 1, weight)
-        if height > 0:
-            walk(steps - 1, height - 1, weight)
-        walk(steps - 1, height, weight * w.at(height))
-
-    walk(n, 0, 1)
-    return total
 
 
 _SHIFT_RE = re.compile(r"^shift(?:\^(\d+))?$")

@@ -67,11 +67,6 @@ class TruncatedSeries:
     def __getitem__(self, n: int) -> RingElement:
         return self.coeffs[n]
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if not 1 <= order <= self.order:
-            raise ValueError("can only truncate to 1..order coefficients")
-        return TruncatedSeries(self.coeffs[:order])
-
     # -- arithmetic (shorter order wins) ------------------------------------
 
     @staticmethod

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .hankel import column_dets, hankel_minors
+from .hankel import hankel_dets, hankel_minors
 from .polyfam import fibonacci_poly, lucas_bivariate_at, lucas_poly
 from .ring import RingElement, parity_sign, render
 from .sequences import Constant, Explicit, WeightSpec, columns, shift
@@ -189,15 +189,12 @@ def check_lemma13_random(
 # ---------------------------------------------------------------------------
 
 
-def _backward_shift_into(run: _Run, cols, shifted_cols, m, k, n_max, base, where):
-    """Both clauses of theorem1 at column k: D(-m, k, .) on w against
-    D(m, k, .) on shift(w), read off cols and shifted_cols, the columns of
-    w and of shift(w) to depth 2 n_max + m + 2k and 2(n_max - 1) + m at
-    least.  Theorem2 is this for constant w, which the shift leaves
+def _backward_shift_into(run: _Run, back, forward, m, k, n_max, base, where):
+    """Both clauses of theorem1 at column k: back, D(-m, k, n) on w for
+    n <= n_max + m + k + 1, against forward, D(m, k, n) on shift(w) for
+    n <= n_max.  Theorem2 is this for constant w, which the shift leaves
     unchanged.  Witness params: base, clause, where, n."""
     sgn = parity_sign(m + k)
-    back = column_dets(cols[k], -m, n_max + m + k + 1)
-    forward = column_dets(shifted_cols[k], m, n_max)
     for n in range(1, m + k + 1):
         run.check({**base, "clause": "zero-block", **where, "n": n}, back[n], 0)
     for n in range(n_max + 1):
@@ -208,16 +205,16 @@ def _backward_shift_into(run: _Run, cols, shifted_cols, m, k, n_max, base, where
 
 def _theorem1_into(run: _Run, w: WeightSpec, m_max, n_max, extra=()):
     base = {**dict(extra), "weights": w.describe()}
-    cols = columns(w, [0], 2 * n_max + m_max)
-    shifted_cols = columns(shift(w), [0], 2 * (n_max - 1) + m_max)
+    back = hankel_dets(w, [(-m, 0, n_max + m + 1) for m in range(m_max + 1)])
+    forward = hankel_dets(shift(w), [(m, 0, n_max) for m in range(m_max + 1)])
     for m in range(m_max + 1):
-        _backward_shift_into(run, cols, shifted_cols, m, 0, n_max, base, {"m": m})
+        _backward_shift_into(run, back[-m, 0], forward[m, 0], m, 0, n_max, base, {"m": m})
 
 
 def check_theorem1(w: WeightSpec, m_max: int, n_max: int) -> CheckReport:
     """Backward vs forward shift for one weight spec (m = 0 case included)."""
-    if m_max < 1 or n_max < 1:
-        raise ValueError("bounds must be >= 1")
+    if m_max < 0 or n_max < 0:
+        raise ValueError("bounds must be >= 0")
     run = _Run()
     _theorem1_into(run, w, m_max, n_max)
     params = {"weights": w.describe(), "m_max": m_max, "n_max": n_max}
@@ -228,8 +225,8 @@ def check_theorem1_random(trials: int, seed: int, m_max: int, n_max: int) -> Che
     """Seeded random integer weight specs: prefix 8 in [-3, 3], tail 0."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if m_max < 1 or n_max < 1:
-        raise ValueError("bounds must be >= 1")
+    if m_max < 0 or n_max < 0:
+        raise ValueError("bounds must be >= 0")
     rng = random.Random(seed)
     run = _Run()
     for trial in range(trials):
@@ -250,11 +247,12 @@ def check_theorem2(
 ) -> CheckReport:
     if m_max < 0 or k_max < 0 or n_max < 0:
         raise ValueError("bounds must be >= 0")
-    cols = columns(Constant(cval), range(k_max + 1), 2 * n_max + m_max + 2 * k_max)
+    grid = [(m, k) for m in range(m_max + 1) for k in range(k_max + 1)]
+    back = [(-m, k, n_max + m + k + 1) for m, k in grid]
+    dets = hankel_dets(Constant(cval), back + [(m, k, n_max) for m, k in grid])
     run = _Run()
-    for m in range(m_max + 1):
-        for k in range(k_max + 1):
-            _backward_shift_into(run, cols, cols, m, k, n_max, {}, {"m": m, "k": k})
+    for m, k in grid:
+        _backward_shift_into(run, dets[-m, k], dets[m, k], m, k, n_max, {}, {"m": m, "k": k})
     params = {"c": render(cval), "m_max": m_max, "k_max": k_max, "n_max": n_max}
     return _report("theorem2", params, run)
 
@@ -268,11 +266,11 @@ def check_theorem2(
 def check_corollary6(cval: RingElement, k_max: int, n_max: int) -> CheckReport:
     if k_max < 0 or n_max < 0:
         raise ValueError("bounds must be >= 0")
-    cols = columns(Constant(cval), range(k_max + 1), max(0, 2 * (n_max - 1)))
+    dets = hankel_dets(Constant(cval), [(0, k, n_max) for k in range(k_max + 1)])
     run = _Run()
     for k in range(k_max + 1):
         sgn = parity_sign(k)
-        for size, lhs in enumerate(column_dets(cols[k], 0, n_max)):
+        for size, lhs in enumerate(dets[0, k]):
             if size % (k + 1) == 0:
                 n = size // (k + 1)
                 run.check(
@@ -300,9 +298,10 @@ def check_identities7_8(
 ) -> CheckReport:
     if k_max < 0 or n_max < 0:
         raise ValueError("bounds must be >= 0")
-    cols = columns(Constant(cval), range(k_max + 1), 2 * n_max)
+    requests = [(m, 0, n_max) for m in range(3)] + [(1, k, n_max) for k in range(k_max + 1)]
+    dets = hankel_dets(Constant(cval), requests)
     run = _Run()
-    flat, once, twice = (column_dets(cols[0], m, n_max) for m in range(3))
+    flat, once, twice = (dets[m, 0] for m in range(3))
     fib_sq_sum: RingElement = 0
     for n in range(n_max + 1):
         fib = fibonacci_poly(n + 1).evaluate(cval)
@@ -312,7 +311,7 @@ def check_identities7_8(
         run.check({"clause": "fibonacci-square-sum", "n": n}, twice[n], fib_sq_sum)
     for k in range(k_max + 1):
         span = k + 1
-        for size, lhs in enumerate(column_dets(cols[k], 1, n_max)):
+        for size, lhs in enumerate(dets[1, k]):
             r = size % span
             if r == 0:
                 n = size // span
@@ -348,12 +347,9 @@ def check_conjectures9_10(
         raise ValueError("bounds must be >= 0")
     run = _Run()
     # one elimination per (shift, column); eq9 and eq10 share shift 2
-    pairs = {(2, k) for k in range(1, k_max + 1)} | {
-        (m, k) for m in range(m_max + 1) for k in range(max(0, m - 1), k_max + 1)
-    }
-    depth = max(0, 2 * (n_max - 1) + max(m for m, _ in pairs))
-    cols = columns(Constant(cval), range(k_max + 1), depth)
-    dets = {(m, k): column_dets(cols[k], m, n_max) for m, k in pairs}
+    dets = hankel_dets(Constant(cval), [(2, k, n_max) for k in range(1, k_max + 1)] + [
+        (m, k, n_max) for m in range(m_max + 1) for k in range(max(0, m - 1), k_max + 1)
+    ])
 
     # guessed closed forms for shift m = 2, columns k >= 1
     for k in range(1, k_max + 1):
@@ -427,13 +423,18 @@ def check_conjectures9_10(
 # ---------------------------------------------------------------------------
 
 
+def series_min_order(k_max: int) -> int:
+    """The least order check_series_identities takes for k_max."""
+    return 2 * k_max + 4
+
+
 def check_series_identities(
     cval: RingElement, k_max: int, order: int
 ) -> CheckReport:
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    if order < 2 * k_max + 4:
-        raise ValueError(f"order {order} too small: need >= {2 * k_max + 4}")
+    if order < series_min_order(k_max):
+        raise ValueError(f"order {order} too small: need >= {series_min_order(k_max)}")
     a = motzkin_series(cval, order)
     cols = columns(Constant(cval), range(k_max + 1), order - 1)
     run = _Run()
@@ -475,12 +476,12 @@ def check_series_identities(
 def check_theorem3(cval: RingElement, k_max: int, n_max: int) -> CheckReport:
     if k_max < 0 or n_max < 0:
         raise ValueError("bounds must be >= 0")
-    cols = columns(Constant(cval), range(k_max + 1), 2 * n_max + k_max)
+    dets = hankel_dets(Constant(cval), [(k + 2, k, n_max) for k in range(k_max + 1)])
     run = _Run()
     for k in range(k_max + 1):
         b = reciprocal_power_coeffs(cval, k, 2 * n_max + 1)
         lhs = hankel_minors(b, n_max + 1)
-        for n, rhs in enumerate(column_dets(cols[k], k + 2, n_max)):
+        for n, rhs in enumerate(dets[k + 2, k]):
             if n % 2:
                 rhs = -rhs
             run.check({"k": k, "n": n}, lhs[n + 1], rhs)

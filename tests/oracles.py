@@ -2,7 +2,15 @@
 
 from catalan_hankel.hankel import InternalDivisionError
 from catalan_hankel.ring import NotDivisibleError, RingElement, exact_div
+from catalan_hankel.sequences import WeightSpec
 from catalan_hankel.series import TruncatedSeries
+
+#: Path enumeration is exponential; refuse lengths beyond this.
+ORACLE_LIMIT = 14
+
+
+class TooLargeError(ValueError):
+    """Path enumeration was asked for a length beyond ORACLE_LIMIT."""
 
 
 def det_cofactor(rows):
@@ -98,3 +106,31 @@ def motzkin_series_quadratic(cval: RingElement, order: int) -> TruncatedSeries:
             acc = acc + coeffs[j] * coeffs[n - 2 - j]
         coeffs.append(acc)
     return TruncatedSeries(coeffs)
+
+
+def paths_oracle(w: WeightSpec, n: int, k: int) -> RingElement:
+    """Weight of all up/down/level paths of length n from height 0 to k.
+
+    Exhaustive enumeration, independent of the triangle recurrence; the
+    guard keeps the 3**n search tractable.
+    """
+    if n < 0 or k < 0:
+        raise ValueError("length and height must be >= 0")
+    if n > ORACLE_LIMIT:
+        raise TooLargeError(f"path length {n} exceeds oracle limit {ORACLE_LIMIT}")
+    total = 0
+
+    def walk(steps, height, weight):
+        nonlocal total
+        if abs(height - k) > steps:
+            return
+        if steps == 0:
+            total += weight
+            return
+        walk(steps - 1, height + 1, weight)
+        if height > 0:
+            walk(steps - 1, height - 1, weight)
+        walk(steps - 1, height, weight * w.at(height))
+
+    walk(n, 0, 1)
+    return total

@@ -15,7 +15,6 @@ from catalan_hankel.sequences import (
     Explicit,
     admissible_table,
     column,
-    paths_oracle,
 )
 from catalan_hankel.series import motzkin_series, reciprocal_power_coeffs
 from catalan_hankel.verify import (
@@ -29,7 +28,7 @@ from catalan_hankel.verify import (
     check_theorem3,
 )
 
-from oracles import det_cofactor
+from oracles import det_cofactor, paths_oracle
 
 SEED = 20260809
 

@@ -573,6 +573,36 @@ def test_verify_all_applies_each_flag_where_it_is_taken(capsys):
     assert params["theorem2"]["m_max"] == 1 and params["theorem2"]["k_max"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [("theorem1", "--n-max", "0"), ("theorem1", "--m-max", "0"), ("all", "--n-max", "0")]
+)
+def test_verify_theorem1_runs_at_zero_bounds(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv, "--format", "json")
+    assert err == ""
+    assert code == (1 if argv[0] == "all" else 0)  # all: the conjectures are mixed
+    reports = json.loads(out) if argv[0] == "all" else [json.loads(out)]
+    assert [r["status"] for r in reports if r["claim_id"] == "theorem1"] == ["verified"]
+
+
+def test_verify_series_identities_derives_its_order_from_k_max(capsys):
+    for argv, order in ((("--k-max", "6"), 16), (("--k-max", "7"), 18), (("--k-max", "10"), 24)):
+        code, out, err = run_cli(capsys, "verify", "series_identities", *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["params"]["order"] == order
+    code, out, err = run_cli(capsys, "verify", "all", "--k-max", "10", "--format", "json")
+    assert err == ""
+    params = {r["claim_id"]: r["params"] for r in json.loads(out)}
+    assert params["series_identities"]["order"] == 24
+    assert params["lemma13"]["order"] == CLAIMS["lemma13"].defaults["order"]
+
+
+def test_verify_series_identities_rejects_a_small_explicit_order(capsys):
+    for claim in ("series_identities", "all"):
+        code, out, err = run_cli(capsys, "verify", claim, "--k-max", "7", "--order", "17")
+        assert (code, out) == (2, "")
+        assert err == "error: order 17 too small: need >= 18\n"
+
+
 def test_usage_error_bad_weights(capsys):
     code, _, err = run_cli(capsys, "seq", "--weights", "bogus:1", "--n", "3")
     assert code == 2

@@ -4,17 +4,23 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
+from catalan_hankel import hankel
 from catalan_hankel.hankel import (
     InternalDivisionError,
-    column_dets,
     det_fraction_free,
     hankel_det,
     hankel_dets,
     hankel_minors,
     leading_minors,
 )
-from catalan_hankel.ring import C, NotDivisibleError, eval_at
-from catalan_hankel.sequences import Constant, Explicit, admissible_table, shift
+from catalan_hankel.ring import C, NotDivisibleError, Polynomial
+from catalan_hankel.sequences import (
+    Constant,
+    Explicit,
+    admissible_table,
+    parse_weight_spec,
+    shift,
+)
 
 from oracles import det_bareiss_per_size, det_cofactor, hankel_rows, perm_sign
 
@@ -25,20 +31,20 @@ def test_hankel_matrix_known_block():
     t = admissible_table(Constant(1), 10)
     assert hankel_rows(t, 4, 2, 2) == [[9, 25], [25, 69]]
     assert hankel_minors([9, 25, 69], 2) == [1, 9, 9 * 69 - 25 * 25]
-    assert hankel_dets(Constant(1), 4, 2, 2) == [1, 9, 9 * 69 - 25 * 25]
+    assert hankel_dets(Constant(1), [(4, 2, 2)])[4, 2] == [1, 9, 9 * 69 - 25 * 25]
 
 
 def test_hankel_matrix_all_negative_indices():
     t = admissible_table(Constant(1), 2)
     assert hankel_rows(t, -5, 0, 2) == [[0, 0], [0, 0]]
-    assert hankel_dets(Constant(1), -5, 0, 2) == [1, 0, 0]
+    assert hankel_dets(Constant(1), [(-5, 0, 2)])[-5, 0] == [1, 0, 0]
 
 
 def test_hankel_matrix_symbolic():
     t = admissible_table(Constant(C), 2)
     assert hankel_rows(t, 0, 1, 2) == [[0, 1], [1, 2 * C]]
     assert hankel_minors([0, 1, 2 * C], 2) == [1, 0, -1]
-    assert hankel_dets(Constant(C), 0, 1, 2) == [1, 0, -1]
+    assert hankel_dets(Constant(C), [(0, 1, 2)])[0, 1] == [1, 0, -1]
 
 
 def test_hankel_matrices_are_symmetric():
@@ -49,14 +55,17 @@ def test_hankel_matrices_are_symmetric():
             rows = hankel_rows(t, m_shift, k, 4)
             assert rows == [list(col) for col in zip(*rows)]
             blocks = [[row[:s] for row in rows[:s]] for s in range(5)]
-            assert hankel_dets(w, m_shift, k, 4) == [det_cofactor(b) for b in blocks]
+            dets = hankel_dets(w, [(m_shift, k, 4)])[m_shift, k]
+            assert dets == [det_cofactor(b) for b in blocks]
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        hankel_dets(Constant(1), 0, -1, 2)
-    with pytest.raises(ValueError):
-        hankel_dets(Constant(1), 0, 0, -1)
+    with pytest.raises(ValueError, match="column index"):
+        hankel_dets(Constant(1), [(0, -1, 2)])
+    with pytest.raises(ValueError, match="matrix size"):
+        hankel_dets(Constant(1), [(0, 0, -1)])
+    with pytest.raises(ValueError, match="column index"):
+        hankel_dets(Constant(1), [(0, 0, 3), (-2, -1, 0)])
     with pytest.raises(ValueError):
         leading_minors([[1, 2]])
 
@@ -208,13 +217,44 @@ HANKEL_WEIGHTS = st.one_of(
 )
 
 
-@given(HANKEL_WEIGHTS, st.integers(-4, 4), st.integers(0, 3), st.integers(0, 9))
-def test_hankel_dets_match_per_size_bareiss(w, m, k, n_max):
-    dets = hankel_dets(w, m, k, n_max)
-    assert len(dets) == n_max + 1
-    for n, value in enumerate(dets):
-        table = admissible_table(w, max(0, 2 * (n - 1) + m))
-        assert value == det_bareiss_per_size(hankel_rows(table, m, k, n))
+REQUESTS = st.lists(
+    st.tuples(
+        st.one_of(st.integers(-4, 4), st.integers(-10**6, -5)),
+        st.sampled_from((0, 1, 3, 5)),
+        st.integers(0, 9),
+    ),
+    max_size=6,
+)
+
+
+@given(HANKEL_WEIGHTS, REQUESTS)
+def test_hankel_dets_match_per_size_bareiss(w, requests):
+    # repeated (m, k) at other sizes, shifts far below 0, gaps in k, size 0
+    dets = hankel_dets(w, requests)
+    assert set(dets) == {(m, k) for m, k, _ in requests}
+    table = admissible_table(w, 2 * 9 + 4)
+    for (m, k), values in dets.items():
+        assert len(values) == 1 + max(n for m2, k2, n in requests if (m2, k2) == (m, k))
+        for n, value in enumerate(values):
+            assert value == det_bareiss_per_size(hankel_rows(table, m, k, n))
+
+
+def test_hankel_dets_stream_every_column_in_one_call(monkeypatch):
+    calls = []
+    real = hankel.columns
+
+    def counting(w, ks, depth):
+        calls.append((list(ks), depth))
+        return real(w, ks, depth)
+
+    monkeypatch.setattr(hankel, "columns", counting)
+    dets = hankel_dets(Constant(1), [(1, 3, 2), (-4, 0, 5), (1, 3, 4), (9, 1, 0)])
+    assert calls == [([0, 1, 3], 2 * (4 - 1) + 1)]  # size 0 at shift 9 reads no row
+    assert dets[1, 3] == hankel_dets(Constant(1), [(1, 3, 4)])[1, 3]
+    assert dets[9, 1] == [1]
+    calls.clear()
+    assert hankel_dets(Constant(1), []) == {}
+    assert len(calls) == 1
 
 
 DJ_WEIGHTS = st.one_of(
@@ -229,22 +269,23 @@ DJ_WEIGHTS = st.one_of(
 def test_hankel_dets_satisfy_desnanot_jacobi_across_shifts(w, m, k, n_max):
     # condensation of the (n+1) x (n+1) matrix of shift m: its corner minors
     # are the matrices of shifts m, m+1 (twice) and m+2, whatever the pivots
-    d0, d1, d2 = (hankel_dets(w, m + i, k, n_max) for i in range(3))
+    dets = hankel_dets(w, [(m + i, k, n_max) for i in range(3)])
+    d0, d1, d2 = (dets[m + i, k] for i in range(3))
     for n in range(1, n_max):
         assert d0[n + 1] * d2[n - 1] == d0[n] * d2[n] - d1[n] * d1[n]
 
 
-def test_column_dets_read_zeros_before_row_zero():
-    col = [1, 1, 2, 4, 9]  # Motzkin numbers
-    assert column_dets(col, 0, 3) == [1, 1, 1, 1]
-    assert column_dets(col, -2, 3) == [1, 0, 0, -1]
-    assert column_dets(col, -9, 3) == [1, 0, 0, 0]
-    with pytest.raises(ValueError):
-        column_dets(col, 1, 3)  # needs rows 1..5
+def test_hankel_dets_read_zeros_before_row_zero():
+    # column 0 is the Motzkin numbers 1, 1, 2, 4, 9, ...
+    dets = hankel_dets(Constant(1), [(0, 0, 3), (-2, 0, 3), (-9, 0, 3)])
+    assert dets[0, 0] == [1, 1, 1, 1]
+    assert dets[-2, 0] == [1, 0, 0, -1]
+    assert dets[-9, 0] == [1, 0, 0, 0]
 
 
 def test_a_far_negative_shift_reads_only_the_zeros_it_needs():
-    assert hankel_dets(Constant(1), -(10**15), 0, 3) == [1, 0, 0, 0]
+    m = -(10**15)
+    assert hankel_dets(Constant(1), [(m, 0, 3)])[m, 0] == [1, 0, 0, 0]
 
 
 def test_hankel_det_size_zero_is_one():
@@ -275,7 +316,9 @@ def test_symbolic_numeric_commutation():
             for k in range(3):
                 for n in range(7):
                     sym = hankel_det(Constant(C), m, k, n)
-                    assert eval_at(sym, t) == hankel_det(Constant(t), m, k, n)
+                    if isinstance(sym, Polynomial):
+                        sym = sym.evaluate(t)
+                    assert sym == hankel_det(Constant(t), m, k, n)
 
 
 def test_flat_and_once_shifted_recurrences():
@@ -289,3 +332,40 @@ def test_flat_and_once_shifted_recurrences():
             assert d1[n] == w.at(n - 1) * d1[n - 1] - d1[n - 2]
         for n in range(9):
             assert hankel_det(w, 0, 0, n) == 1
+
+
+SYMPY_SPECS = (
+    "const:c", "explicit:c,1;tail=c", "explicit:1,c,-1;tail=0", "shift:explicit:2,c;tail=-1",
+)
+
+
+@pytest.mark.parametrize("text", SYMPY_SPECS)
+def test_hankel_dets_match_sympy_over_zz_c(text):
+    # the triangle and its determinants over ZZ[c], all in sympy
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    ring = sympy.ZZ[sympy.Symbol("c")]
+    c = ring.gens[0]
+
+    def to_ring(value):
+        coeffs = value.coeffs if isinstance(value, Polynomial) else (value,)
+        return sum((v * c**i for i, v in enumerate(coeffs)), ring.zero)
+
+    w = parse_weight_spec(text)
+    weight = [to_ring(w.at(h)) for h in range(11)]
+    rows = [[ring.one]]
+    for _ in range(10):
+        prev = [ring.zero] + rows[-1] + [ring.zero, ring.zero]
+        rows.append(
+            [prev[h] + weight[h] * prev[h + 1] + prev[h + 2] for h in range(len(rows[-1]) + 1)]
+        )
+
+    def entry(r, k):
+        return rows[r][k] if 0 <= r and k < len(rows[r]) else ring.zero
+
+    requests = [(m, k, 4) for m in range(-3, 4) for k in range(3)]
+    for (m, k), values in hankel_dets(w, requests).items():
+        for n, value in enumerate(values):
+            matrix = [[entry(i + j + m, k) for j in range(n)] for i in range(n)]
+            assert to_ring(value) == DomainMatrix(matrix, (n, n), ring).det(), (m, k, n)

@@ -9,15 +9,14 @@ from catalan_hankel.sequences import (
     Explicit,
     OutOfRangeError,
     Shifted,
-    TooLargeError,
     admissible_table,
     column,
     columns,
     parse_weight_spec,
-    paths_oracle,
     shift,
-    weight_at,
 )
+
+from oracles import TooLargeError, paths_oracle
 
 int_specs = st.lists(st.integers(-3, 3), max_size=6).map(
     lambda vs: Explicit(tuple(vs), 0)
@@ -26,37 +25,37 @@ int_specs = st.lists(st.integers(-3, 3), max_size=6).map(
 
 def test_weight_at_explicit_with_tail():
     w = Explicit((1,), 0)
-    assert weight_at(w, 0) == 1
-    assert weight_at(w, 3) == 0
+    assert w.at(0) == 1
+    assert w.at(3) == 0
 
 
 def test_weight_at_constant():
-    assert weight_at(Constant(1), 17) == 1
+    assert Constant(1).at(17) == 1
 
 
 def test_weight_at_shifted_drops_prefix():
-    assert weight_at(Shifted(Explicit((1,), 0), 1), 0) == 0
+    assert Shifted(Explicit((1,), 0), 1).at(0) == 0
 
 
 def test_weight_at_negative_index_raises():
     with pytest.raises(ValueError):
-        weight_at(Constant(1), -1)
+        Constant(1).at(-1)
 
 
 def test_shift_of_constant_is_pointwise_equal():
     w = shift(Constant(C))
-    assert all(weight_at(w, k) == C for k in range(10))
+    assert all(w.at(k) == C for k in range(10))
 
 
 def test_shift_of_explicit_prefix():
     w = shift(Explicit((1,), 0))
-    assert all(weight_at(w, k) == weight_at(Explicit((), 0), k) for k in range(10))
+    assert all(w.at(k) == Explicit((), 0).at(k) for k in range(10))
 
 
 @given(int_specs, st.integers(0, 20))
 def test_shift_composes(w, k):
-    assert weight_at(shift(shift(w)), k) == weight_at(w, k + 2)
-    assert weight_at(Shifted(w, 2), k) == weight_at(w, k + 2)
+    assert shift(shift(w)).at(k) == w.at(k + 2)
+    assert Shifted(w, 2).at(k) == w.at(k + 2)
 
 
 def test_motzkin_column_zero():
@@ -204,7 +203,7 @@ def test_zero_weights_parity():
 def test_parse_describe_round_trip(text):
     w = parse_weight_spec(text)
     again = parse_weight_spec(w.describe())
-    assert all(weight_at(w, k) == weight_at(again, k) for k in range(12))
+    assert all(w.at(k) == again.at(k) for k in range(12))
 
 
 @pytest.mark.parametrize(

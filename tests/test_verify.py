@@ -100,8 +100,22 @@ def test_theorem1_random_specs():
 
 
 def test_theorem1_validates_bounds():
-    with pytest.raises(ValueError):
-        check_theorem1(Constant(1), 0, 5)
+    with pytest.raises(ValueError, match="bounds must be >= 0"):
+        check_theorem1(Constant(1), -1, 5)
+    with pytest.raises(ValueError, match="bounds must be >= 0"):
+        check_theorem1_random(1, 0, 3, -1)
+
+
+@pytest.mark.parametrize("w", [Constant(1), Constant(3), Explicit((1, -2, 0), 1)])
+@pytest.mark.parametrize("m_max, n_max", [(0, 0), (0, 3), (3, 0)])
+def test_theorem1_takes_zero_bounds(w, m_max, n_max):
+    report = check_theorem1(w, m_max, n_max)
+    assert report.status == "verified"
+    # zero blocks at sizes 1..m, then sizes 0..n_max past them, per shift m
+    assert report.instances_tested == sum(m + n_max + 1 for m in range(m_max + 1))
+    random_report = check_theorem1_random(2, 5, m_max, n_max)
+    assert random_report.status == "verified"
+    assert random_report.instances_tested == 2 * report.instances_tested
 
 
 # -- theorem2 ---------------------------------------------------------------
@@ -212,6 +226,7 @@ def test_checkers_eliminate_once_per_shift_and_column(monkeypatch):
         return real_columns(w, ks, depth)
 
     monkeypatch.setattr(hankel, "leading_minors", counting)
+    monkeypatch.setattr(hankel, "columns", counting_columns)
     monkeypatch.setattr(verify, "columns", counting_columns)
     assert check_corollary6(1, 6, 30).status == "verified"
     assert len(sizes) == 7  # one per column k
@@ -219,8 +234,13 @@ def test_checkers_eliminate_once_per_shift_and_column(monkeypatch):
     sizes.clear()
     specs.clear()
     assert check_identities7_8(1, 3, 24).status == "verified"
-    assert len(sizes) == 3 + 4  # shifts 0..2 of column 0, then shift 1 per k
+    assert len(sizes) == 3 + 3  # shifts 0..2 of column 0, then shift 1 per k >= 1
     assert specs == [Constant(1)]
+    sizes.clear()
+    m_max, k_max = 3, 3
+    assert check_theorem2(2, m_max, k_max, 5).status == "verified"
+    # back and forward per (m, k), one elimination for both at m = 0
+    assert len(sizes) == 2 * (m_max + 1) * (k_max + 1) - (k_max + 1)
     for check, args in (
         (check_theorem2, (2, 3, 3, 5)),
         (check_conjectures9_10, (1, 3, 3, 8)),
