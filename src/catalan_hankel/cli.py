@@ -34,18 +34,18 @@ SERIES_MAX_ORDER = 10000
 #: 1400 at k 0: 18 s, 0.8 GB; the slowest shapes (order 1028 at k 20): 65 s.
 SERIES_MAX_SYMBOLIC_WORK = 16 * 1400**3
 #: Largest `seq --n` (const:1: 0.6 s, 20 MB), `table --n-max` (const:1 as
-#: json: 2 s, 0.35 GB) and `det --n` (const:3: 9 s) accepted; `det` is also
-#: held to TABLE_MAX_N for the triangle depth 2(n-1)+m it reads.
+#: json: 2 s, 0.35 GB) and `det --n` (const:3: 1.9 s) accepted; `det` is
+#: also held to TABLE_MAX_N for the triangle depth 2(n-1)+m it reads.
 SEQ_MAX_N, TABLE_MAX_N, DET_MAX_N = 2000, 1000, 300
 #: Weights holding c admit a fifth of each of those: entries are then
-#: polynomials (const:c: `seq --n 400` 2.3 s and 29 MB, `det --n 60` 25 s).
+#: polynomials (const:c: `seq --n 400` 2.3 s and 29 MB, `det --n 60` 1.6 s).
 SYMBOLIC_SHARE = 5
 #: Integer weights of b bits at the heights used lower each size ceiling to
 #: the largest n with n**3 * (b + 1) * (b + 250) <= WEIGHT_BITS_WORK *
 #: ceiling**3: entries grow by about b + 1 bits a row, and printing one in
 #: decimal costs about its length squared / 250 on top of building it.  The
 #: value at b = 2 keeps the ceilings for weights up to 3 in size.  At the
-#: edge: `det const:1000000 --n 153` 6 s, `seq const:10^1000 --n 79` 4 s,
+#: edge: `det const:1000000 --n 153` 1.3 s, `seq const:10^1000 --n 79` 4 s,
 #: `table --n-max 182` of 248-bit weights (the slowest shape) 10 s.
 WEIGHT_BITS_WORK = 3 * 252
 #: The range of each verify bound flag, by argparse dest, checked for every
@@ -54,15 +54,16 @@ WEIGHT_BITS_WORK = 3 * 252
 #: claim's default: --c for the claims that take it, and theorem1's
 #: --weights at the heights 0..2 n_max + m_max it reads.  One flag at its
 #: ceiling, the others at their defaults, c = 1, the slowest claim takes:
-#: --n-max 100 47 s (theorem1), --k-max 100 12 s (theorem2), --m-max 50
-#: 10 s (theorem1), --trials 10000 6 s (theorem1), --order 500 3 s
-#: (lemma13); with --c sym, --order 100 6 s (series_identities) and
-#: --n-max 20 9 s (theorem2); theorem1 --weights const:c --n-max 20 2 s.
-#: At the edges of the weight-bit rule verify takes at most 6.4 s for
-#: c = 10**6 (theorem2 --n-max 51) and 1.4 s for c = 10**200; without the
-#: lowering, theorem2 --c 10**6 --n-max 100 takes 155 s; at c = 10**200,
-#: and theorem1 with --weights const:c or const:10**1000 (1 GB), --n-max
-#: 100 did not finish in 300 s.
+#: --n-max 100 42 s (lemma13, at the order 207 it then needs; theorem1
+#: 10 s), --k-max 100 2.9 s (theorem2), --m-max 50 3.5 s (lemma13),
+#: --trials 10000 2.2 s (theorem1), --order 500 1.0 s (lemma13); with
+#: --c sym, --order 100 2.2 s (series_identities) and --n-max 20 1.9 s
+#: (theorem2); theorem1 --weights const:c --n-max 20 0.5 s.  At the edges
+#: of the weight-bit rule verify takes at most 1.8 s for c = 10**6
+#: (theorem2 --n-max 51) and 0.6 s for c = 10**200; without the lowering,
+#: theorem2 --c 10**6 --n-max 100 takes 40 s; at c = 10**200, and theorem1
+#: with --weights const:c or const:10**1000 (1 GB), --n-max 100 did not
+#: finish in 300 s with whole-row elimination, about half as fast.
 VERIFY_RANGES = {
     "trials": (1, 10000),
     "order": (1, 500),
@@ -154,8 +155,8 @@ def _claim_call(ns, claim_id, cval):
     """The call that runs one claim, unset bounds at its defaults, once its
     input checks pass; a claim named alone rejects flags it does not take.
     Only theorem1 takes --weights, which replaces its random trials by that
-    one weight spec.  An unset series_identities --order is at least the
-    least order its --k-max admits."""
+    one weight spec.  An unset --order is at least the least order the
+    claim's other bounds admit."""
     claim = CLAIMS[claim_id]
     weights = ns.weights if claim_id == "theorem1" else None
     taken = [n for n in claim.defaults if weights is None or n != "trials"]
@@ -166,13 +167,18 @@ def _claim_call(ns, claim_id, cval):
         where = "" if weights is None else " --weights"
         raise ValueError(f"verify {claim_id}{where} does not take {flags}")
     bounds = {n: claim.defaults[n] if getattr(ns, n) is None else getattr(ns, n) for n in taken}
-    if claim_id == "series_identities" and ns.order is None:
-        bounds["order"] = max(bounds["order"], verify_mod.series_min_order(bounds["k_max"]))
+    if "order" in bounds and ns.order is None:
+        least = (
+            verify_mod.series_min_order(bounds["k_max"])
+            if claim_id == "series_identities"
+            else verify_mod.lemma13_min_order(bounds["n_max"], bounds["m_max"])
+        )
+        bounds["order"] = max(bounds["order"], least)
     for name, value in bounds.items():  # first, as theorem1's depth is read off two
         _check_range(_flag(name), value, *VERIFY_RANGES[name])
     w, depth = None, 0
     if weights is not None:
-        w, depth = parse_weight_spec(weights), 2 * bounds["n_max"] + bounds["m_max"]
+        w, depth = parse_weight_spec(weights), _theorem1_depth(bounds["m_max"], bounds["n_max"])
     elif claim.arg == "cval":
         w = Constant(cval)
     for name, value in bounds.items():
@@ -181,6 +187,15 @@ def _claim_call(ns, claim_id, cval):
         return functools.partial(verify_mod.check_theorem1, w, **bounds)
     lead = ns.rng_seed if claim.arg == "seed" else cval
     return functools.partial(claim.check, **{claim.arg: lead}, **bounds)
+
+
+def _theorem1_depth(m_max: int, n_max: int) -> int:
+    """The deepest triangle row any of theorem1's determinants reads; its
+    --weights lower the ceilings by the weights at heights 0..this depth."""
+    return max(
+        table_depth(m, n) for requests in verify_mod.theorem1_requests(m_max, n_max)
+        for m, _, n in requests
+    )
 
 
 def _flag(dest):
@@ -357,10 +372,15 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: a build takes about 0.5 ms, 25 parses' worth
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -136,13 +136,17 @@ def lemma13_sides(u: TruncatedSeries, N: int, M: int):
     return _lemma13_sides(u, u.reciprocal(), N, M)[N]
 
 
+def lemma13_min_order(n_max: int, m_max: int) -> int:
+    """The least series order check_lemma13 takes for n_max and m_max."""
+    return 2 * (n_max + m_max) + 1
+
+
 def _require_lemma13(u, n_max, m_max):
     if u[0] != 1:
         raise ValueError("lemma13 requires constant term 1")
-    if u.order < 2 * (n_max + m_max) + 1:
-        raise ValueError(
-            f"series order {u.order} too small: need >= {2 * (n_max + m_max) + 1}"
-        )
+    least = lemma13_min_order(n_max, m_max)
+    if u.order < least:
+        raise ValueError(f"series order {u.order} too small: need >= {least}")
 
 
 def _lemma13_into(run: _Run, u, n_max, m_max, extra=()):
@@ -203,10 +207,18 @@ def _backward_shift_into(run: _Run, back, forward, m, k, n_max, base, where):
         run.check({**base, "clause": "backward-shift", **where, "n": n}, lhs, rhs)
 
 
+def theorem1_requests(m_max: int, n_max: int):
+    """theorem1's (m, k, n) requests: D(-m, 0, n) on w for n <= n_max + m + 1,
+    and D(m, 0, n) on shift(w) for n <= n_max, for every m <= m_max."""
+    ms = range(m_max + 1)
+    return [(-m, 0, n_max + m + 1) for m in ms], [(m, 0, n_max) for m in ms]
+
+
 def _theorem1_into(run: _Run, w: WeightSpec, m_max, n_max, extra=()):
     base = {**dict(extra), "weights": w.describe()}
-    back = hankel_dets(w, [(-m, 0, n_max + m + 1) for m in range(m_max + 1)])
-    forward = hankel_dets(shift(w), [(m, 0, n_max) for m in range(m_max + 1)])
+    back_requests, forward_requests = theorem1_requests(m_max, n_max)
+    back = hankel_dets(w, back_requests)
+    forward = hankel_dets(shift(w), forward_requests)
     for m in range(m_max + 1):
         _backward_shift_into(run, back[-m, 0], forward[m, 0], m, 0, n_max, base, {"m": m})
 

@@ -90,6 +90,61 @@ def det_bareiss_per_size(rows) -> RingElement:
     return result if sign > 0 else -result
 
 
+def leading_minors_row_swaps(rows) -> list:
+    """Determinants of the leading s x s blocks, s = 0..n, in one elimination.
+
+    One Bareiss pass.  Up to the sign of the row swaps so far, the pivot
+    before step p is the minor of size p + 1 (Sylvester's identity).  A
+    zero pivot is repaired by swapping in the first lower row r with a
+    nonzero entry in the pivot column, flipping the sign.  A block of size
+    at most r then has a zero column after elimination, so its minor is 0;
+    the horizon is the largest such r so far.  A larger block holds every
+    swapped row and sees exactly this elimination.  With no row to swap
+    in, every larger minor is 0.  The empty block has minor 1.
+
+    Updates the whole trailing square at every step, symmetric or not: the
+    oracle for ``hankel.leading_minors``, which updates one triangle.
+    """
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    minors: list = [1]
+    sign = 1
+    horizon = 0
+    prev: RingElement = 1
+    for p in range(n):
+        pivot = rows[p][p]
+        if p < horizon:
+            minors.append(0)
+        else:
+            minors.append(pivot if sign > 0 else -pivot)
+        if pivot == 0:
+            for r in range(p + 1, n):
+                if rows[r][p] != 0:
+                    rows[p], rows[r] = rows[r], rows[p]
+                    sign = -sign
+                    horizon = max(horizon, r)
+                    break
+            else:
+                return minors + [0] * (n - 1 - p)
+            pivot = rows[p][p]
+        top = rows[p]
+        try:
+            for row in rows[p + 1 :]:
+                left = row[p]
+                for j in range(p + 1, n):
+                    row[j], rem = divmod(pivot * row[j] - left * top[j], prev)
+                    if rem:
+                        raise NotDivisibleError(f"remainder {rem}")
+        except NotDivisibleError as exc:
+            raise InternalDivisionError(
+                f"inexact division at elimination step {p}"
+            ) from exc
+        prev = pivot
+    return minors
+
+
 def motzkin_series_quadratic(cval: RingElement, order: int) -> TruncatedSeries:
     """A(x) with constant level weight cval, to the given order.
 

@@ -596,6 +596,43 @@ def test_verify_series_identities_derives_its_order_from_k_max(capsys):
     assert params["lemma13"]["order"] == CLAIMS["lemma13"].defaults["order"]
 
 
+def test_verify_lemma13_derives_its_order_from_n_max_and_m_max(capsys):
+    # lemma13 needs order >= 2 (n_max + m_max) + 1; the defaults (4, 3) need 15
+    for argv, order in (((), 20), (("--n-max", "8"), 23), (("--m-max", "9"), 27)):
+        code, out, err = run_cli(
+            capsys, "verify", "lemma13", "--trials", "2", *argv, "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["params"]["order"] == order
+    code, out, err = run_cli(capsys, "verify", "all", "--n-max", "8", "--format", "json")
+    assert (code, err) == (1, "")  # as at the defaults: the conjectures are mixed
+    reports = {r["claim_id"]: r for r in json.loads(out)}
+    assert reports["lemma13"]["params"]["order"] == 23
+    assert [r["status"] for r in reports.values()].count("verified") == len(CLAIM_IDS) - 1
+    code, out, err = run_cli(capsys, "verify", "lemma13", "--n-max", "8", "--order", "22")
+    assert (code, out) == (2, "")
+    assert err == "error: series order 22 too small: need >= 23\n"
+
+
+def test_theorem1_weights_ceilings_read_the_depth_its_requests_reach():
+    for n_max in range(7):
+        for m_max in range(5):
+            assert cli._theorem1_depth(m_max, n_max) == 2 * n_max + m_max
+
+
+def test_theorem1_makes_the_requests_its_ceilings_read(monkeypatch):
+    made = []
+    real = verify.hankel_dets
+
+    def recording(w, requests):
+        made.append(list(requests))
+        return real(w, requests)
+
+    monkeypatch.setattr(verify, "hankel_dets", recording)
+    verify.check_theorem1(sequences.Constant(1), 2, 3)
+    assert made == [list(r) for r in verify.theorem1_requests(2, 3)]
+
+
 def test_verify_series_identities_rejects_a_small_explicit_order(capsys):
     for claim in ("series_identities", "all"):
         code, out, err = run_cli(capsys, "verify", claim, "--k-max", "7", "--order", "17")
@@ -653,6 +690,36 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1,1,2,4,9"
+
+
+_MIXED_ARGVS = [
+    ["seq", "--weights", "const:1", "--n", "5"],
+    ["verify", "nonsense"],
+    ["det", "--weights", "const:c", "--m", "1", "--n", "4", "--format", "json"],
+    ["--help"],
+    ["det", "--weights", "const:1"],
+    ["verify", "theorem3", "--c", "sym", "--k-max", "1", "--n-max", "2"],
+    ["series", "--help"],
+    ["seq", "--weights", "bogus:1"],
+    ["table", "--weights", "const:1", "--n-max", "2", "--format", "csv"],
+    [],
+    ["series", "--k", "1", "--order", "6", "--reciprocal"],
+    ["seq", "--weights", "const:1", "--n", "5"],
+]
+
+
+def test_back_to_back_calls_match_fresh_parsers(capsys):
+    # main builds its parser once per process; every call must behave as
+    # if the parser were new, usage errors and --help included
+    shared = [run_cli(capsys, *argv) for argv in _MIXED_ARGVS]
+    fresh = []
+    for argv in _MIXED_ARGVS:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 2, 0, 0, 2, 0, 2, 0, 0]
+    assert shared[0] == shared[-1]
+    assert cli._parser() is cli._parser()
 
 
 def test_help_exits_zero(capsys):

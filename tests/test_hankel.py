@@ -22,9 +22,37 @@ from catalan_hankel.sequences import (
     shift,
 )
 
-from oracles import det_bareiss_per_size, det_cofactor, hankel_rows, perm_sign
+from oracles import (
+    det_bareiss_per_size,
+    det_cofactor,
+    hankel_rows,
+    leading_minors_row_swaps,
+    perm_sign,
+)
 
 ZERO_HEAVY = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3))
+ZERO_HEAVY_ZC = st.one_of(
+    ZERO_HEAVY, ZERO_HEAVY.map(lambda a: a * C), ZERO_HEAVY.map(lambda a: a + C)
+)
+
+
+def _symmetric(entries):
+    """Symmetric matrices of size 0..8 whose upper triangles draw from entries."""
+
+    def build(n):
+        upper = st.lists(entries, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2)
+
+        def fill(values):
+            it = iter(values)
+            rows = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = next(it)
+            return rows
+
+        return upper.map(fill)
+
+    return st.integers(0, 8).flatmap(build)
 
 
 def test_hankel_matrix_known_block():
@@ -164,6 +192,69 @@ def test_hankel_minors_match_cofactor_after_a_zero_prefix(n, zeros, tail):
     assert hankel_minors(terms, n) == [det_cofactor(block) for block in blocks]
 
 
+@given(st.one_of(_symmetric(ZERO_HEAVY), _symmetric(ZERO_HEAVY_ZC)))
+def test_leading_minors_match_cofactor_on_symmetric_zero_heavy_matrices(rows):
+    blocks = [[row[:s] for row in rows[:s]] for s in range(len(rows) + 1)]
+    assert leading_minors(rows) == [det_cofactor(block) for block in blocks]
+
+
+@given(
+    st.integers(0, 14),
+    st.integers(0, 8),
+    st.one_of(*(st.lists(e, min_size=27, max_size=27) for e in (ZERO_HEAVY, ZERO_HEAVY_ZC))),
+)
+def test_hankel_minors_match_the_row_swap_oracle_after_a_zero_prefix(n, zeros, tail):
+    terms = [0] * zeros + tail
+    rows = [[terms[i + j] for j in range(n)] for i in range(n)]
+    assert hankel_minors(terms, n) == leading_minors_row_swaps(rows)
+
+
+def test_leading_minors_pair_step_on_adjacent_rows():
+    # symmetric, pivot 0: steps 0 and 1 run together on [[0, 1], [1, 1]]
+    assert leading_minors([[0, 1], [1, 1]]) == [1, 0, -1]
+
+
+def test_leading_minors_pair_step_with_a_zero_diagonal():
+    # entry (1, 1) is 0 too: the pair's determinant -1 is still the pivot
+    assert leading_minors([[0, 1], [1, 0]]) == [1, 0, -1]
+
+
+def test_leading_minors_pair_steps_exchange_a_far_row():
+    # two pairs: at step 0 with row 1, at step 2 with row 3
+    rows = [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    blocks = [[row[:s] for row in rows[:s]] for s in range(5)]
+    assert leading_minors(rows) == [1, 0, -1, 0, 1]
+    assert leading_minors(rows) == [det_cofactor(block) for block in blocks]
+    # over Z[c]: step 0 pairs with row 2, exchanged into place 1; blocks of
+    # size 1 and 2 have a zero first row; step 3 pairs with row 4
+    rows = [[0, 0, C, 0, 0], [0, 1, 0, 0, 0], [C, 0, 1, 0, 0], [0, 0, 0, 0, C], [0, 0, 0, C, 0]]
+    assert leading_minors(rows) == [1, 0, 0, -C * C, 0, C**4]
+    # a Hankel matrix behind a zero prefix of 3: every block up to size 3 is 0
+    terms = [0, 0, 0, 1, 2, 5, 14, 42, 132]
+    assert hankel_minors(terms, 5) == leading_minors_row_swaps(
+        [terms[i : i + 5] for i in range(5)]
+    )
+
+
+def test_symmetric_elimination_updates_one_triangle(monkeypatch):
+    # Catalan numbers: every leading minor of their Hankel matrix is 1
+    catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
+    rows = [catalan[i : i + 6] for i in range(6)]
+    calls = []
+
+    def counting(a, b):
+        calls.append(b)
+        return divmod(a, b)
+
+    monkeypatch.setattr(hankel, "divmod", counting, raising=False)
+    assert leading_minors(rows) == [1] * 7
+    assert len(calls) == sum(m * (m + 1) // 2 for m in range(6))  # j >= i only
+    calls.clear()
+    rows[5][0] += 1  # no longer symmetric: whole rows
+    assert leading_minors(rows) == leading_minors_row_swaps(rows)
+    assert len(calls) == sum(m * m for m in range(6))
+
+
 def test_leading_minors_anti_identity():
     rows = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
     assert leading_minors(rows) == [1, 0, 0, -1]
@@ -205,10 +296,16 @@ class _LeadingCoefficientDivisor(int):
 
 @pytest.mark.parametrize("divisor", [_RemainderDivisor, _LeadingCoefficientDivisor])
 def test_leading_minors_check_every_quotient(divisor):
-    # step 0 divides by 1; step 1 divides by the first pivot, the broken one
-    rows = [[divisor(2), 1, 1], [1, 2, 1], [1, 1, 2]]
-    with pytest.raises(InternalDivisionError, match="elimination step 1"):
-        leading_minors(rows)
+    # step 0 divides by 1; step 1 divides by the first pivot, the broken one:
+    # symmetric (one triangle), unsymmetric (whole rows), and a pair step
+    # at step 1, whose pivot 0 needs row 2
+    for rows in (
+        [[divisor(2), 1, 1], [1, 2, 1], [1, 1, 2]],
+        [[divisor(2), 1, 1], [1, 2, 1], [0, 1, 2]],
+        [[divisor(1), 1, 1], [1, 1, 2], [1, 2, 1]],
+    ):
+        with pytest.raises(InternalDivisionError, match="elimination step 1"):
+            leading_minors(rows)
 
 
 HANKEL_WEIGHTS = st.one_of(
