@@ -7,8 +7,8 @@ a sequence is catalogued, for eyeball cross-checking.
 
 from catalan_hankel.hankel import hankel_dets, hankel_minors
 from catalan_hankel.ring import render
-from catalan_hankel.sequences import Constant, Explicit, admissible_table, column
-from catalan_hankel.series import reciprocal_power_coeffs
+from catalan_hankel.sequences import Constant, Explicit, columns
+from catalan_hankel.series import motzkin_power
 
 
 def show(label, values):
@@ -17,13 +17,13 @@ def show(label, values):
 
 def main():
     unit = Constant(1)
-    t = admissible_table(unit, 10)
+    t = columns(unit, [0, 1, 2], 10)
     d = hankel_dets(unit, [(1, 1, 11), (-1, 1, 11), (2, 2, 13), (-2, 2, 12), (4, 2, 6)])
 
     print("== triangle columns, constant weight 1 ==")
-    show("a[n][0] (A001006 Motzkin)", [column(t, 0, n) for n in range(11)])
-    show("a[n][1]", [column(t, 1, n) for n in range(11)])
-    show("a[n][2]", [column(t, 2, n) for n in range(11)])
+    show("a[n][0] (A001006 Motzkin)", t[0])
+    show("a[n][1]", t[1])
+    show("a[n][2]", t[2])
 
     print()
     print("== shifted Hankel determinants, constant weight 1 ==")
@@ -35,16 +35,15 @@ def main():
     print()
     print("== weights (1, 0, 0, ...): central binomial column ==")
     s = Explicit((1,), 0)
-    ts = admissible_table(s, 10)
     ds = hankel_dets(s, [(2, 0, 11), (-2, 0, 18)])
-    show("a[n][0] (A001405)", [column(ts, 0, n) for n in range(11)])
+    show("a[n][0] (A001405)", columns(s, [0], 10)[0])
     show("D(2,0,n)", ds[2, 0])
     show("D(2,0,n), shifted wts", hankel_dets(Explicit((), 0), [(2, 0, 13)])[2, 0])
     show("D(-2,0,n)", ds[-2, 0])
 
     print()
     print("== reciprocal third power of the Motzkin series ==")
-    b = reciprocal_power_coeffs(1, 2, 13)
+    b = motzkin_power(1, -3, 13).coeffs
     show("b[n] of 1/A^3", b)
     minors = hankel_minors(b, 7)
     show("det(b[i+j]) by size", minors)

@@ -11,14 +11,11 @@ from .ring import (
     render,
 )
 from .sequences import (
-    AdmissibleTable,
     Constant,
     Explicit,
-    OutOfRangeError,
     Shifted,
     WeightSpec,
     admissible_table,
-    column,
     parse_weight_spec,
     shift,
 )
@@ -35,7 +32,6 @@ from .series import (
     TruncatedSeries,
     motzkin_power,
     motzkin_series,
-    reciprocal_power_coeffs,
 )
 from .polyfam import (
     fibonacci_poly,

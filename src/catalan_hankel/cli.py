@@ -31,7 +31,8 @@ SERIES_MAX_ORDER = 10000
 #: Bound on (k + 16) * (order + 2k)**3 for `series --c sym`: coefficient n
 #: is a polynomial of degree n, each of the k + 1 passes costs about
 #: length**3 (lengths up to order + 2k) and printing about 15 more.  Order
-#: 1400 at k 0: 18 s, 0.8 GB; the slowest shapes (order 1028 at k 20): 65 s.
+#: 1400 at k 0: 5.6 s, 0.75 GB; order 1028 at k 20: 7.5 s, 0.39 GB; the
+#: slowest shape timed, order 523 at k 100: 10 s.
 SERIES_MAX_SYMBOLIC_WORK = 16 * 1400**3
 #: Largest `seq --n` (const:1: 0.6 s, 20 MB), `table --n-max` (const:1 as
 #: json: 2 s, 0.35 GB) and `det --n` (const:3: 1.9 s) accepted; `det` is
@@ -71,6 +72,17 @@ VERIFY_RANGES = {
     "k_max": (0, 100),
     "n_max": (0, 100),
 }
+#: These claims also bound their flags together: a run is refused before any
+#: work when its _work exceeds that of every run with one flag at its
+#: VERIFY_RANGES ceiling and the others at their defaults.  One trial costs
+#: about sum((n_max + M + 2)**4 for M <= m_max), the eliminations of each
+#: shift M, plus 50 order**2 for lemma13's reciprocal series, at about
+#: 2e-9 s a unit (fitted to single trials, c = 1, 2-core VM).  The slowest
+#: run admitted is lemma13 --n-max 100 (order 207): 0.9 s a trial, 96 s in
+#: all.  Refused, for instance: theorem1 --trials 10000 --n-max 100 (0.58 s
+#: a trial), theorem1 --m-max 50 --n-max 50 (4.4 s a trial), and lemma13
+#: --trials 10000 with --n-max 100 or with --order 500 (24 ms a trial).
+WORK_BOUND_CLAIMS = ("lemma13", "theorem1")
 
 _WITNESS_LINE_CAP = 50
 
@@ -155,8 +167,7 @@ def _claim_call(ns, claim_id, cval):
     """The call that runs one claim, unset bounds at its defaults, once its
     input checks pass; a claim named alone rejects flags it does not take.
     Only theorem1 takes --weights, which replaces its random trials by that
-    one weight spec.  An unset --order is at least the least order the
-    claim's other bounds admit."""
+    one weight spec.  The WORK_BOUND_CLAIMS also bound their flags together."""
     claim = CLAIMS[claim_id]
     weights = ns.weights if claim_id == "theorem1" else None
     taken = [n for n in claim.defaults if weights is None or n != "trials"]
@@ -166,16 +177,12 @@ def _claim_call(ns, claim_id, cval):
         flags = ", ".join(_flag(n) for n in unused)
         where = "" if weights is None else " --weights"
         raise ValueError(f"verify {claim_id}{where} does not take {flags}")
-    bounds = {n: claim.defaults[n] if getattr(ns, n) is None else getattr(ns, n) for n in taken}
-    if "order" in bounds and ns.order is None:
-        least = (
-            verify_mod.series_min_order(bounds["k_max"])
-            if claim_id == "series_identities"
-            else verify_mod.lemma13_min_order(bounds["n_max"], bounds["m_max"])
-        )
-        bounds["order"] = max(bounds["order"], least)
+    bounds = _fill_bounds(claim_id, taken, {n: getattr(ns, n) for n in taken})
     for name, value in bounds.items():  # first, as theorem1's depth is read off two
         _check_range(_flag(name), value, *VERIFY_RANGES[name])
+    if claim_id in WORK_BOUND_CLAIMS and _work(bounds) > _work_bar(claim_id):
+        given = " ".join(f"{_flag(n)} {v}" for n, v in bounds.items())
+        raise ValueError(f"verify {claim_id} {given}: more work than one flag at its ceiling")
     w, depth = None, 0
     if weights is not None:
         w, depth = parse_weight_spec(weights), _theorem1_depth(bounds["m_max"], bounds["n_max"])
@@ -187,6 +194,39 @@ def _claim_call(ns, claim_id, cval):
         return functools.partial(verify_mod.check_theorem1, w, **bounds)
     lead = ns.rng_seed if claim.arg == "seed" else cval
     return functools.partial(claim.check, **{claim.arg: lead}, **bounds)
+
+
+def _fill_bounds(claim_id, taken, given):
+    """Each bound in taken: its given value, or else the claim's default.
+    An unset --order is at least the least order the other bounds admit."""
+    defaults = CLAIMS[claim_id].defaults
+    bounds = {n: defaults[n] if given.get(n) is None else given[n] for n in taken}
+    if "order" in bounds and given.get("order") is None:
+        least = (
+            verify_mod.series_min_order(bounds["k_max"])
+            if claim_id == "series_identities"
+            else verify_mod.lemma13_min_order(bounds["n_max"], bounds["m_max"])
+        )
+        bounds["order"] = max(bounds["order"], least)
+    return bounds
+
+
+def _work(bounds) -> int:
+    """Estimated work of a lemma13 or theorem1 run: trials (theorem1
+    --weights is one) times the cost of a trial."""
+    n_max, order = bounds["n_max"], bounds.get("order", 0)
+    trial = sum((n_max + m + 2) ** 4 for m in range(bounds["m_max"] + 1)) + 50 * order**2
+    return bounds.get("trials", 1) * trial
+
+
+def _work_bar(claim_id) -> int:
+    """The largest _work among the runs of a claim with one flag at its
+    VERIFY_RANGES ceiling and the others at their defaults."""
+    defaults = CLAIMS[claim_id].defaults
+    return max(
+        _work(_fill_bounds(claim_id, defaults, {name: VERIFY_RANGES[name][1]}))
+        for name in defaults
+    )
 
 
 def _theorem1_depth(m_max: int, n_max: int) -> int:
@@ -235,21 +275,21 @@ def _cmd_seq(ns) -> int:
 def _cmd_table(ns) -> int:
     w = parse_weight_spec(ns.weights)
     _check_range("--n-max", ns.n_max, 0, TABLE_MAX_N, w, ns.n_max)
-    table = admissible_table(w, ns.n_max)
+    rows = admissible_table(w, ns.n_max)
     if ns.format == "text":
-        for n, row in enumerate(table.rows):
+        for n, row in enumerate(rows):
             print(f"n={n}: " + ", ".join(render(v) for v in row))
     elif ns.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["n", "k", "value"])
-        for n, row in enumerate(table.rows):
+        for n, row in enumerate(rows):
             for k, v in enumerate(row):
                 writer.writerow([n, k, render(v)])
     else:
         payload = {
             "weights": w.describe(),
-            "max_n": table.max_n,
-            "rows": [[_json_value(v) for v in row] for row in table.rows],
+            "max_n": ns.n_max,
+            "rows": [[_json_value(v) for v in row] for row in rows],
         }
         print(json.dumps(payload, indent=2))
     return 0

@@ -3,12 +3,15 @@
 Every quantity in this package is a *ring element*: either a plain Python
 int (the ring of integers) or a :class:`Polynomial` (integer-coefficient
 polynomials in one symbol, rendered as ``c``).  The two kinds mix freely in
-``+ - *`` and ``divmod`` expressions.  There is one division algorithm:
-``divmod`` is the builtin one on ints and long division in Z[c] on
-Polynomials, which raises NotDivisibleError when a leading coefficient does
-not divide (the quotient would leave Z[c]).  :func:`exact_div` is ``divmod``
-followed by a check that the remainder is zero, so a division that is not
-exact always fails loudly, whatever the operand types.
+``+ - *`` and ``divmod`` expressions.  Every product in Z[c] is the
+schoolbook multiply: most multipliers here are short (``c * p``) or small,
+where packing both factors into one big integer costs more than it saves.
+There is one division algorithm: ``divmod`` is the builtin one on ints and
+long division in Z[c] on Polynomials, which raises NotDivisibleError when a
+leading coefficient does not divide (the quotient would leave Z[c]).
+:func:`exact_div` is ``divmod`` followed by a check that the remainder is
+zero, so a division that is not exact always fails loudly, whatever the
+operand types.
 """
 
 from __future__ import annotations
@@ -20,58 +23,8 @@ class NotDivisibleError(ArithmeticError):
     """Exact division left a nonzero remainder."""
 
 
-# Coefficient-pair count above which multiplication switches from the
-# schoolbook loop to Kronecker packing (one native big-int multiply).
-_SCHOOLBOOK_CUTOFF = 1024
-
-
-def _pack_nonneg(coeffs, step):
-    # little-endian fixed-width digits; every coefficient must fit in `step` bytes
-    buf = bytearray(len(coeffs) * step)
-    for i, v in enumerate(coeffs):
-        if v:
-            buf[i * step : i * step + (v.bit_length() + 7) // 8] = v.to_bytes(
-                (v.bit_length() + 7) // 8, "little"
-            )
-    return int.from_bytes(buf, "little")
-
-
-def _pack_signed(coeffs, step):
-    pos = _pack_nonneg([v if v > 0 else 0 for v in coeffs], step)
-    neg = _pack_nonneg([-v if v < 0 else 0 for v in coeffs], step)
-    return pos - neg
-
-
-def _unpack_balanced(value, length, step):
-    # digits are balanced around 0; shift by half the digit range so that
-    # the packed integer becomes nonnegative with independent digits
-    bits = step * 8
-    half = 1 << (bits - 1)
-    offset = _pack_nonneg([half] * length, step)
-    shifted = value + offset
-    raw = shifted.to_bytes(length * step, "little")
-    return [
-        int.from_bytes(raw[i * step : (i + 1) * step], "little") - half
-        for i in range(length)
-    ]
-
-
-def _mul_schoolbook(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        if av:
-            for j, bv in enumerate(b):
-                out[i + j] += av * bv
-    return out
-
-
-def _mul_kronecker(a, b):
-    # evaluate both factors at 2**bits and let CPython's big-int multiply
-    # do the convolution; digit width chosen so product digits cannot collide
-    bound = max(abs(v) for v in a) * max(abs(v) for v in b) * min(len(a), len(b))
-    step = (bound.bit_length() + 2 + 7) // 8
-    product = _pack_signed(a, step) * _pack_signed(b, step)
-    return _unpack_balanced(product, len(a) + len(b) - 1, step)
+# Kept only because perfbench/tracer.py reads it: every product is schoolbook.
+_SCHOOLBOOK_CUTOFF = float("inf")
 
 
 class Polynomial:
@@ -153,9 +106,12 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial()
-        if len(a) * len(b) <= _SCHOOLBOOK_CUTOFF:
-            return Polynomial(_mul_schoolbook(a, b))
-        return Polynomial(_mul_kronecker(a, b))
+        out = [0] * (len(a) + len(b) - 1)
+        for i, av in enumerate(a):
+            if av:
+                for j, bv in enumerate(b):
+                    out[i + j] += av * bv
+        return Polynomial(out)
 
     __rmul__ = __mul__
 

@@ -20,10 +20,6 @@ from dataclasses import dataclass
 from .ring import C, RingElement, render
 
 
-class OutOfRangeError(IndexError):
-    """A row beyond the table's depth was requested; rebuild deeper."""
-
-
 class WeightSpec:
     """Base for weight-sequence descriptions; subclasses define at(k)."""
 
@@ -99,15 +95,6 @@ def shift(w: WeightSpec) -> WeightSpec:
     return Shifted(w, 1)
 
 
-@dataclass(frozen=True)
-class AdmissibleTable:
-    """Immutable triangle a[n][k] for 0 <= k <= n <= max_n."""
-
-    spec: WeightSpec
-    max_n: int
-    rows: tuple
-
-
 def _next_row(prev: tuple, weights) -> tuple:
     """Row n + 1 from row n of the triangle, one entry per height below
     len(prev) + 1 and len(weights): zero padding stands for the entries
@@ -118,15 +105,15 @@ def _next_row(prev: tuple, weights) -> tuple:
     )
 
 
-def admissible_table(w: WeightSpec, max_n: int) -> AdmissibleTable:
-    """Build the whole triangle row by row up to row max_n."""
+def admissible_table(w: WeightSpec, max_n: int) -> tuple:
+    """The whole triangle as rows 0..max_n; row n holds a[n][0..n]."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     weights = [w.at(k) for k in range(max_n + 1)]
     rows = [(1,)]
     for _ in range(max_n):
         rows.append(_next_row(rows[-1], weights))
-    return AdmissibleTable(w, max_n, tuple(rows))
+    return tuple(rows)
 
 
 def columns(w: WeightSpec, ks, depth: int) -> dict:
@@ -150,17 +137,6 @@ def columns(w: WeightSpec, ks, depth: int) -> dict:
         for k, values in out.items():
             values.append(row[k] if k < len(row) else 0)
     return out
-
-
-def column(table: AdmissibleTable, k: int, n: int) -> RingElement:
-    """a[n][k], with the conventions a[n][k] = 0 for n < 0 or k > n."""
-    if k < 0:
-        raise ValueError("column index must be >= 0")
-    if n < 0:
-        return 0
-    if n > table.max_n:
-        raise OutOfRangeError(f"row {n} exceeds table depth {table.max_n}")
-    return table.rows[n][k] if k <= n else 0
 
 
 _SHIFT_RE = re.compile(r"^shift(?:\^(\d+))?$")

@@ -211,10 +211,3 @@ def motzkin_series(cval: RingElement, order: int) -> TruncatedSeries:
     Coefficient n equals the triangle entry a[n][0] for the constant spec.
     """
     return motzkin_power(cval, 1, order)
-
-
-def reciprocal_power_coeffs(cval: RingElement, k: int, order: int) -> tuple:
-    """Coefficients b_0..b_{order-1} of 1 / A(x)**(k+1)."""
-    if k < 0:
-        raise ValueError("power index must be >= 0")
-    return motzkin_power(cval, -(k + 1), order).coeffs

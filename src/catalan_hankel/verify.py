@@ -27,7 +27,7 @@ from .hankel import hankel_dets, hankel_minors
 from .polyfam import fibonacci_poly, lucas_bivariate_at, lucas_poly
 from .ring import RingElement, parity_sign, render
 from .sequences import Constant, Explicit, WeightSpec, columns, shift
-from .series import TruncatedSeries, motzkin_series, reciprocal_power_coeffs
+from .series import TruncatedSeries, motzkin_power, motzkin_series
 
 @dataclass
 class Witness:
@@ -491,7 +491,7 @@ def check_theorem3(cval: RingElement, k_max: int, n_max: int) -> CheckReport:
     dets = hankel_dets(Constant(cval), [(k + 2, k, n_max) for k in range(k_max + 1)])
     run = _Run()
     for k in range(k_max + 1):
-        b = reciprocal_power_coeffs(cval, k, 2 * n_max + 1)
+        b = motzkin_power(cval, -(k + 1), 2 * n_max + 1).coeffs
         lhs = hankel_minors(b, n_max + 1)
         for n, rhs in enumerate(dets[k + 2, k]):
             if n % 2:

@@ -1,5 +1,7 @@
 """Brute-force oracles, deliberately independent of the library's algorithms."""
 
+import functools
+
 from catalan_hankel.hankel import InternalDivisionError
 from catalan_hankel.ring import NotDivisibleError, RingElement, exact_div
 from catalan_hankel.sequences import WeightSpec
@@ -14,21 +16,27 @@ class TooLargeError(ValueError):
 
 
 def det_cofactor(rows):
-    """Determinant by first-row cofactor expansion."""
+    """Determinant by first-row cofactor expansion, each minor expanded once:
+    a minor is fixed by the columns it keeps, so the work is O(n^2 2^n)
+    ring operations rather than O(n!)."""
     n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        entry = rows[0][j]
-        if entry == 0:
-            continue
-        minor = [list(row[:j]) + list(row[j + 1 :]) for row in rows[1:]]
-        term = entry * det_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+
+    @functools.lru_cache(maxsize=None)
+    def minor(cols):
+        # the determinant of the last len(cols) rows on the columns cols
+        if not cols:
+            return 1
+        row = rows[n - len(cols)]
+        total = 0
+        for pos, j in enumerate(cols):
+            entry = row[j]
+            if entry == 0:
+                continue
+            term = entry * minor(cols[:pos] + cols[pos + 1 :])
+            total = total + term if pos % 2 == 0 else total - term
+        return total
+
+    return minor(tuple(range(n)))
 
 
 def perm_sign(perm):
@@ -43,11 +51,11 @@ def perm_sign(perm):
 
 
 def hankel_rows(table, m, k, n):
-    """The n x n matrix (a[i+j+m][k]) read straight off ``table.rows``;
-    rows below 0 and columns beyond a row's end read 0."""
+    """The n x n matrix (a[i+j+m][k]) read straight off the triangle's rows
+    ``table[r]``; rows below 0 and columns beyond a row's end read 0."""
 
     def entry(r):
-        return table.rows[r][k] if 0 <= r and k <= r else 0
+        return table[r][k] if 0 <= r and k <= r else 0
 
     return [[entry(i + j + m) for j in range(n)] for i in range(n)]
 

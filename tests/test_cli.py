@@ -391,6 +391,57 @@ def test_verify_theorem1_weights_count_only_the_heights_read(capsys, monkeypatch
     assert err == "error: --n-max must be in 0..6 for weights of 3322 bits\n"
 
 
+# products of flags, each alone inside its ceiling, that lemma13 and
+# theorem1 refuse, with the bounds the error spells out
+_WORK_REFUSED = [
+    ("theorem1 --trials 10000 --n-max 100", "--trials 10000 --m-max 3 --n-max 100"),
+    ("theorem1 --m-max 50 --n-max 50", "--trials 40 --m-max 50 --n-max 50"),
+    ("lemma13 --trials 10000 --n-max 100", "--trials 10000 --order 207 --n-max 100 --m-max 3"),
+    ("lemma13 --trials 10000 --order 500", "--trials 10000 --order 500 --n-max 4 --m-max 3"),
+]
+
+
+@pytest.mark.parametrize("argv, bounds", _WORK_REFUSED)
+def test_verify_refuses_a_product_of_flags_before_any_work(capsys, monkeypatch, argv, bounds):
+    _stub_checkers(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", *argv.split())
+    assert (code, out) == (2, "")
+    claim = argv.split()[0]
+    assert err == f"error: verify {claim} {bounds}: more work than one flag at its ceiling\n"
+    # verify all checks the product for each claim it runs
+    code, out, err = run_cli(capsys, "verify", "all", *argv.split()[1:])
+    assert (code, out) == (2, "")
+    assert err.endswith(": more work than one flag at its ceiling\n")
+
+
+@pytest.mark.parametrize("claim", cli.WORK_BOUND_CLAIMS)
+def test_verify_work_bound_admits_each_flag_at_its_ceiling(monkeypatch, claim):
+    _stub_checkers(monkeypatch)
+    for name in CLAIMS[claim].defaults:
+        with pytest.raises(_Reached):
+            main(["verify", claim, cli._flag(name), str(VERIFY_RANGES[name][1])])
+
+
+def test_verify_work_bound_is_the_slowest_single_ceiling():
+    # lemma13 --n-max 100 at its derived order 207 sets lemma13's bar, and
+    # theorem1 --n-max 100 theorem1's
+    for claim in cli.WORK_BOUND_CLAIMS:
+        bounds = cli._fill_bounds(claim, CLAIMS[claim].defaults, {"n_max": 100})
+        assert cli._work_bar(claim) == cli._work(bounds)
+    assert cli._fill_bounds("lemma13", ("order", "n_max", "m_max"), {"n_max": 100})["order"] == 207
+
+
+def test_verify_theorem1_weights_count_as_one_trial(capsys, monkeypatch):
+    _stub_checkers(monkeypatch)
+    with pytest.raises(_Reached):
+        main(["verify", "theorem1", "--weights", "const:1", "--m-max", "50", "--n-max", "100"])
+    code, _, err = run_cli(
+        capsys, "verify", "theorem1", "--trials", "2", "--m-max", "50", "--n-max", "100"
+    )
+    assert code == 2
+    assert err.endswith(": more work than one flag at its ceiling\n")
+
+
 def test_verify_all_admits_every_default_at_any_c(capsys, monkeypatch):
     # at 3322 bits the weight-bit rule alone would stop --n-max at 3, below
     # corollary6's default 15, and --m-max at 1, below theorem2's default 3

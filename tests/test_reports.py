@@ -31,6 +31,15 @@ def test_verify_all_output_is_pinned(capsys, flags, digest):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (1, digest)
 
 
+def test_symbolic_series_with_long_products_is_pinned(capsys):
+    # c * p for coefficients of degree 512 and up: products of more than
+    # 1024 coefficient pairs, once packed into one big integer
+    code = main(["series", "--c", "sym", "--order", "600", "--format", "json"])
+    out = capsys.readouterr().out
+    digest = "13740a5408538740d5a0e8d1e415e16f7e5082d7acd017906c34a8b3bef45583"
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
 def _run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

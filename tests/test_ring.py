@@ -7,8 +7,6 @@ from catalan_hankel.ring import (
     C,
     NotDivisibleError,
     Polynomial,
-    _mul_kronecker,
-    _mul_schoolbook,
     as_poly,
     exact_div,
     parity_sign,
@@ -266,12 +264,21 @@ def test_immutable():
     st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=80),
     st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=80),
 )
-def test_kronecker_multiplication_matches_schoolbook(a, b):
-    assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+def test_multiplication_matches_evaluation_at_enough_points(a, b):
+    _assert_product_by_evaluation(Polynomial(a), Polynomial(b))
 
 
-def test_large_product_uses_kronecker_path():
-    # degrees large enough to cross the cutoff; compare against schoolbook
-    a = Polynomial(range(1, 60))
-    b = Polynomial(range(-30, 31))
-    assert (a * b).coeffs == tuple(_mul_schoolbook(a.coeffs, b.coeffs))
+def test_large_product_matches_evaluation():
+    # 59 x 61 coefficients, past the size where products were once packed
+    _assert_product_by_evaluation(Polynomial(range(1, 60)), Polynomial(range(-30, 31)))
+
+
+def _assert_product_by_evaluation(a, b):
+    # a product of degree d is fixed by its values at d + 1 points
+    p = a * b
+    if not (a and b):
+        assert not p
+        return
+    assert p.degree() == a.degree() + b.degree()
+    for t in range(p.degree() + 1):
+        assert p.evaluate(t) == a.evaluate(t) * b.evaluate(t)

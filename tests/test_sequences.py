@@ -7,10 +7,8 @@ from catalan_hankel.ring import C
 from catalan_hankel.sequences import (
     Constant,
     Explicit,
-    OutOfRangeError,
     Shifted,
     admissible_table,
-    column,
     columns,
     parse_weight_spec,
     shift,
@@ -59,40 +57,32 @@ def test_shift_composes(w, k):
 
 
 def test_motzkin_column_zero():
-    t = admissible_table(Constant(1), 7)
-    assert [column(t, 0, n) for n in range(8)] == [1, 1, 2, 4, 9, 21, 51, 127]
+    rows = admissible_table(Constant(1), 7)
+    assert [rows[n][0] for n in range(8)] == [1, 1, 2, 4, 9, 21, 51, 127]
 
 
 def test_motzkin_column_two():
-    t = admissible_table(Constant(1), 8)
-    assert [column(t, 2, n) for n in range(2, 9)] == [1, 3, 9, 25, 69, 189, 518]
+    rows = admissible_table(Constant(1), 8)
+    assert [rows[n][2] for n in range(2, 9)] == [1, 3, 9, 25, 69, 189, 518]
 
 
 def test_single_one_weights_give_central_binomials():
     # independent oracle: binom(n, floor(n/2))
-    t = admissible_table(Explicit((1,), 0), 6)
-    assert [column(t, 0, n) for n in range(7)] == [
+    rows = admissible_table(Explicit((1,), 0), 6)
+    assert [rows[n][0] for n in range(7)] == [
         math.comb(n, n // 2) for n in range(7)
     ]
 
 
 def test_column_conventions():
-    t = admissible_table(Constant(1), 4)
-    assert column(t, 0, -3) == 0
-    assert column(t, 3, 1) == 0  # above the diagonal
-    assert column(t, 1, 3) == 5  # row 3 of the Motzkin triangle is 4, 5, 3, 1
-    assert t.rows[3] == (4, 5, 3, 1)
+    rows = admissible_table(Constant(1), 4)
+    assert rows[3][1] == 5  # row 3 of the Motzkin triangle is 4, 5, 3, 1
+    assert rows[3] == (4, 5, 3, 1)
 
 
 def test_symbolic_entry():
-    t = admissible_table(Constant(C), 3)
-    assert column(t, 1, 2) == 2 * C
-
-
-def test_column_beyond_depth_raises():
-    t = admissible_table(Constant(1), 4)
-    with pytest.raises(OutOfRangeError):
-        column(t, 0, 5)
+    rows = admissible_table(Constant(C), 3)
+    assert rows[2][1] == 2 * C
 
 
 def test_table_validates_depth():
@@ -117,11 +107,11 @@ COLUMN_SPECS = st.one_of(
 @example(Constant(1), [0, 3, 7], 0)
 @example(Constant(C), [2, 9], 12)
 def test_columns_match_the_whole_triangle(w, ks, depth):
-    table = admissible_table(w, depth)
+    rows = admissible_table(w, depth)
     cols = columns(w, ks, depth)
     assert set(cols) == set(ks)
     for k in ks:
-        assert cols[k] == [column(table, k, r) for r in range(depth + 1)]
+        assert cols[k] == [rows[r][k] if k <= r else 0 for r in range(depth + 1)]
 
 
 def test_columns_validate_their_arguments():
@@ -152,38 +142,38 @@ def test_paths_guard():
 
 def test_paths_match_recurrence_on_small_grid():
     for w in (Constant(0), Constant(2), Explicit((2, 1), 0)):
-        t = admissible_table(w, 6)
+        rows = admissible_table(w, 6)
         for n in range(7):
             for k in range(n + 1):
-                assert paths_oracle(w, n, k) == column(t, k, n)
+                assert paths_oracle(w, n, k) == rows[n][k]
 
 
 def test_symbolic_paths_match_recurrence():
     w = Constant(C)
-    t = admissible_table(w, 5)
+    rows = admissible_table(w, 5)
     for n in range(6):
         for k in range(n + 1):
-            assert paths_oracle(w, n, k) == column(t, k, n)
+            assert paths_oracle(w, n, k) == rows[n][k]
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=6))
 def test_nonnegative_weights_give_nonnegative_entries(vs):
-    t = admissible_table(Explicit(tuple(vs), 0), 8)
-    assert all(v >= 0 for row in t.rows for v in row)
+    rows = admissible_table(Explicit(tuple(vs), 0), 8)
+    assert all(v >= 0 for row in rows for v in row)
 
 
 @given(int_specs)
 def test_diagonal_is_all_ones(w):
-    t = admissible_table(w, 8)
-    assert all(t.rows[n][n] == 1 for n in range(9))
+    rows = admissible_table(w, 8)
+    assert all(rows[n][n] == 1 for n in range(9))
 
 
 def test_zero_weights_parity():
-    t = admissible_table(Constant(0), 9)
+    rows = admissible_table(Constant(0), 9)
     for n in range(10):
         for k in range(n + 1):
             if (n + k) % 2 == 1:
-                assert t.rows[n][k] == 0
+                assert rows[n][k] == 0
 
 
 @pytest.mark.parametrize(

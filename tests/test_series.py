@@ -2,13 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from catalan_hankel.ring import C, Polynomial
-from catalan_hankel.sequences import Constant, admissible_table, column
+from catalan_hankel.sequences import Constant, admissible_table
 from catalan_hankel.series import (
     NonUnitConstantTermError,
     TruncatedSeries,
     motzkin_power,
     motzkin_series,
-    reciprocal_power_coeffs,
 )
 from oracles import motzkin_series_quadratic
 
@@ -103,17 +102,17 @@ def test_motzkin_series_symbolic_coefficient():
 
 
 def test_reciprocal_power_coeffs_unit_weight():
-    assert reciprocal_power_coeffs(1, 2, 13) == (
+    assert motzkin_power(1, -3, 13).coeffs == (
         1, -3, 0, 2, 0, 0, -1, -3, -9, -25, -69, -189, -518,
     )
 
 
 def test_reciprocal_power_coeffs_symbolic():
-    assert reciprocal_power_coeffs(C, 0, 3) == (Polynomial((1,)), -C, Polynomial((-1,)))
+    assert motzkin_power(C, -1, 3).coeffs == (Polynomial((1,)), -C, Polynomial((-1,)))
 
 
 def test_reciprocal_power_coeffs_zero_weight():
-    assert reciprocal_power_coeffs(0, 0, 5) == (1, 0, -1, 0, -1)
+    assert motzkin_power(0, -1, 5).coeffs == (1, 0, -1, 0, -1)
 
 
 def test_coefficients_coerce_to_one_ring():
@@ -146,18 +145,18 @@ def test_series_need_a_constant_term():
 def test_coefficients_match_triangle_column_zero():
     for cval in (0, 1, 2, C):
         a = motzkin_series(cval, 10)
-        t = admissible_table(Constant(cval), 9)
-        assert all(a[n] == column(t, 0, n) for n in range(10))
+        rows = admissible_table(Constant(cval), 9)
+        assert all(a[n] == rows[n][0] for n in range(10))
 
 
 def test_power_coefficients_match_triangle_columns():
     # [x^n] x^k A^{k+1} = a[n][k]
     for cval in (0, 1, 2, C):
         a = motzkin_series(cval, 12)
-        t = admissible_table(Constant(cval), 11)
+        rows = admissible_table(Constant(cval), 11)
         for k in range(5):
             shifted = TruncatedSeries.monomial(k, 12) * (a ** (k + 1))
-            assert all(shifted[n] == column(t, k, n) for n in range(12))
+            assert all(shifted[n] == (rows[n][k] if k <= n else 0) for n in range(12))
 
 
 def test_quadratic_residual_vanishes():

@@ -372,13 +372,13 @@ def test_theorem3_symbolic_agrees_with_hankel_dets(monkeypatch):
     report = check_theorem3(C, 3, 7)
     assert report.status == "verified"
     assert report.instances_tested == 4 * 8
-    real = verify.reciprocal_power_coeffs
+    real = verify.motzkin_power
 
-    def perturbed(cval, k, order):
-        b = real(cval, k, order)
-        return b[:-1] + (b[-1] + 1,)
+    def perturbed(cval, exponent, order):
+        b = real(cval, exponent, order).coeffs
+        return TruncatedSeries(b[:-1] + (b[-1] + 1,))
 
-    monkeypatch.setattr(verify, "reciprocal_power_coeffs", perturbed)
+    monkeypatch.setattr(verify, "motzkin_power", perturbed)
     assert check_theorem3(C, 3, 7).status == "refuted"
 
 
