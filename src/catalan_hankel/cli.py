@@ -58,8 +58,10 @@ WEIGHT_BITS_WORK = 3 * 252
 #: --n-max 100 42 s (lemma13, at the order 207 it then needs; theorem1
 #: 10 s), --k-max 100 2.9 s (theorem2), --m-max 50 3.5 s (lemma13),
 #: --trials 10000 2.2 s (theorem1), --order 500 1.0 s (lemma13); with
-#: --c sym, --order 100 2.2 s (series_identities) and --n-max 20 1.9 s
-#: (theorem2); theorem1 --weights const:c --n-max 20 0.5 s.  At the edges
+#: --c sym, --order 100 2.3 s (series_identities) and --n-max 20 1.9 s
+#: (theorem2); theorem1 --weights const:c --n-max 20 0.5 s.  The largest
+#: symbolic product of flags admitted, series_identities --c sym --k-max 20
+#: --order 100, takes 8.0 s (subprocess wall time, 2-core VM).  At the edges
 #: of the weight-bit rule verify takes at most 1.8 s for c = 10**6
 #: (theorem2 --n-max 51) and 0.6 s for c = 10**200; without the lowering,
 #: theorem2 --c 10**6 --n-max 100 takes 40 s; at c = 10**200, and theorem1

@@ -47,6 +47,10 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, never through __setattr__
+        return (type(self), (self.coeffs,))
+
     # -- structure ---------------------------------------------------------
 
     def degree(self) -> int:
@@ -226,6 +230,16 @@ def as_poly(value: RingElement) -> Polynomial:
     if isinstance(value, Polynomial):
         return value
     return Polynomial((value,))
+
+
+def _poly_from_list(cs: list) -> Polynomial:
+    """The Polynomial whose coefficients are the ints in cs, taking the list
+    over: trailing zeros are popped off it in place and no copy is made."""
+    while cs and not cs[-1]:
+        cs.pop()
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "coeffs", tuple(cs))
+    return p
 
 
 def exact_div(a: RingElement, b: RingElement) -> RingElement:

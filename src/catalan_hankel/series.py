@@ -5,6 +5,15 @@ modulo x**order; combining series of different orders truncates to the
 shorter one.  Coefficients are ring elements (ints or Polynomials in c) and
 a series is kept homogeneous: one Polynomial coefficient coerces the rest.
 
+Products and reciprocals build each output coefficient as one sum of
+products.  Over the ints that is one builtin ``sum(map(mul, ...))`` per
+coefficient, across the nonzero span of the operand whose span is shorter
+(a monomial costs one product a coefficient).  Over Z[c] each operand's
+coefficients are read once per call as lists of their nonzero (degree,
+value) terms; coefficient n accumulates every term product of the pairs
+i + j = n in one int list, which becomes a single Polynomial, so no partial
+product is ever a Polynomial.
+
 The generating function A(x) = sum a_n x^n of weighted Motzkin paths with
 constant level weight c satisfies A = 1 + c*x*A + x^2*A^2.  A is algebraic,
 hence D-finite (Stanley 1980), and its coefficients obey the P-recurrence
@@ -21,7 +30,9 @@ is never used (square roots leave the ring).
 
 from __future__ import annotations
 
-from .ring import Polynomial, RingElement, as_poly, exact_div
+from operator import add, mul
+
+from .ring import Polynomial, RingElement, _poly_from_list, as_poly, exact_div
 
 
 class NonUnitConstantTermError(ValueError):
@@ -43,6 +54,10 @@ class TruncatedSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, never through __setattr__
+        return (type(self), (self.coeffs,))
 
     @classmethod
     def constant(cls, value: RingElement, order: int) -> "TruncatedSeries":
@@ -106,15 +121,10 @@ class TruncatedSeries:
         if other is None:
             return NotImplemented
         t = min(self.order, other.order)
-        out = [0] * t
-        for i, av in enumerate(self.coeffs[:t]):
-            if av == 0:
-                continue
-            for j in range(t - i):
-                bv = other.coeffs[j]
-                if bv != 0:
-                    out[i + j] = out[i + j] + av * bv
-        return TruncatedSeries(out)
+        a, b = self.coeffs[:t], other.coeffs[:t]
+        if isinstance(a[0], Polynomial) or isinstance(b[0], Polynomial):
+            return TruncatedSeries(_mul_zc([_terms(v) for v in a], [_terms(v) for v in b]))
+        return TruncatedSeries(_mul_int(a, b))
 
     __rmul__ = __mul__
 
@@ -141,14 +151,12 @@ class TruncatedSeries:
             raise NonUnitConstantTermError(
                 f"constant term {u0} is not a unit (need +1 or -1)"
             )
+        u = self.coeffs
+        if isinstance(u0, Polynomial):
+            return TruncatedSeries(_reciprocal_zc([_terms(v, -inv0) for v in u], inv0))
         out: list = [inv0]
-        for n in range(1, self.order):
-            acc = 0
-            for j in range(1, n + 1):
-                uj = self.coeffs[j]
-                if uj != 0:
-                    acc = acc + uj * out[n - j]
-            out.append(-inv0 * acc)
+        for n in range(1, len(u)):
+            out.append(-inv0 * sum(map(mul, u[1 : n + 1], out[::-1])))
         return TruncatedSeries(out)
 
     # -- comparison / rendering --------------------------------------------
@@ -165,6 +173,95 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({list(self.coeffs)!r})"
+
+
+def _span(xs) -> tuple:
+    """(lo, hi) such that xs[lo:hi] holds every nonzero entry; (0, 0) if none."""
+    nz = [i for i, v in enumerate(xs) if v]
+    return (nz[0], nz[-1] + 1) if nz else (0, 0)
+
+
+def _mul_int(a: tuple, b: tuple) -> list:
+    """Coefficients of the product of two int series of one order.
+
+    Each coefficient is one builtin sum over the nonzero span of the
+    operand whose span is shorter, so a monomial or a short polynomial in x
+    costs one short sum per coefficient and a dense product t**2 / 2
+    multiplies at builtin speed.
+    """
+    t = len(a)
+    (alo, ahi), (blo, bhi) = _span(a), _span(b)
+    if ahi - alo > bhi - blo:
+        a, b, alo, ahi, blo, bhi = b, a, blo, bhi, alo, ahi
+    short = a[alo:ahi]
+    # b's span reversed behind len(short) - 1 zeros: rev[top - n + i] is
+    # b[blo + n - i], or 0 where that leaves the span; the window for n < i
+    # runs off the end of rev, so map stops before those pairs
+    rev = (0,) * (len(short) - 1) + b[blo:bhi][::-1]
+    top = len(rev) - 1
+    shift = alo + blo
+    conv = [
+        sum(map(mul, short, rev[top - n : top - n + len(short)]))
+        for n in range(min(t - shift, len(rev)))
+    ]
+    return ([0] * shift + conv + [0] * t)[:t]
+
+
+# -- Z[c] kernels -------------------------------------------------------------
+#
+# A coefficient in Z[c] is read as the list of (degree, value) pairs of its
+# nonzero terms, once per call, so zero coefficients and zero terms cost
+# nothing and no Polynomial is built for a partial product.  Coefficient n of
+# a product is one int list holding the sum over i + j = n of every term
+# product, wrapped as one Polynomial at the end.
+
+
+def _terms(v: RingElement, scale: int = 1) -> list:
+    """The nonzero terms of scale * v as (degree, value) pairs."""
+    cs = v.coeffs if isinstance(v, Polynomial) else (v,)
+    return [(d, scale * x) for d, x in enumerate(cs) if x]
+
+
+def _degrees(terms: list) -> list:
+    """Degree of each ring element given by its terms; -1 for zero."""
+    return [ts[-1][0] if ts else -1 for ts in terms]
+
+
+def _convolve(width: int, left, right) -> list:
+    """The width int coefficients of the sum of left[i] * right[i]; width
+    exceeds every degree sum of a nonzero pair (a width below 1 holds none)."""
+    acc = [0] * width
+    for ls, rs in zip(left, right):
+        if ls and rs:
+            for dl, xl in ls:
+                for dr, xr in rs:
+                    acc[dl + dr] += xl * xr
+    return acc
+
+
+def _mul_zc(ta: list, tb: list) -> list:
+    """Coefficients of the product of two series given as term lists."""
+    da, db = _degrees(ta), _degrees(tb)
+    out = []
+    for n in range(len(ta)):
+        width = max(map(add, da[: n + 1], db[n::-1])) + 1
+        out.append(_poly_from_list(_convolve(width, ta[: n + 1], tb[n::-1])))
+    return out
+
+
+def _reciprocal_zc(neg: list, inv0: int) -> list:
+    """Coefficients of 1/u given neg = -inv0 * u as term lists and the unit
+    inv0 = 1/u_0: v_n = sum_{j=1..n} neg_j v_{n-j}."""
+    du = _degrees(neg)
+    out = [as_poly(inv0)]
+    done, dv = [[(0, inv0)]], [0]  # terms and degree of each of out
+    for n in range(1, len(neg)):
+        width = max(map(add, du[1 : n + 1], dv[::-1])) + 1
+        v = _poly_from_list(_convolve(width, neg[1 : n + 1], done[::-1]))
+        out.append(v)
+        done.append(_terms(v))
+        dv.append(len(v.coeffs) - 1)
+    return out
 
 
 def _motzkin_coeffs(cval: RingElement, order: int) -> list:

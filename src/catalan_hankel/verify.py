@@ -450,9 +450,11 @@ def check_series_identities(
     a = motzkin_series(cval, order)
     cols = columns(Constant(cval), range(k_max + 1), order - 1)
     run = _Run()
-    powers = {0: TruncatedSeries.one(order)}
+    # A^0..A^{k_max+1} for the bridge and the reciprocals, and A^2 at least
+    powers = [TruncatedSeries.one(order)]
+    while len(powers) <= max(k_max + 1, 2):
+        powers.append(powers[-1] * a)
     for k in range(k_max + 1):
-        powers[k + 1] = powers[k] * a
         shifted = TruncatedSeries.monomial(k, order) * powers[k + 1]
         for n in range(order):
             run.check(
@@ -461,7 +463,7 @@ def check_series_identities(
                 cols[k][n],
             )
     residual = (
-        TruncatedSeries.monomial(2, order) * a * a
+        TruncatedSeries.monomial(2, order) * powers[2]
         + (TruncatedSeries.monomial(1, order, coeff=cval) - TruncatedSeries.one(order)) * a
         + TruncatedSeries.one(order)
     )

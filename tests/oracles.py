@@ -153,6 +153,51 @@ def leading_minors_row_swaps(rows) -> list:
     return minors
 
 
+def series_mul_loops(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """a * b modulo x**min(orders) by the double loop over coefficient pairs,
+    skipping zero coefficients: the oracle for ``TruncatedSeries.__mul__``."""
+    t = min(a.order, b.order)
+    out = [0] * t
+    for i, av in enumerate(a.coeffs[:t]):
+        if av == 0:
+            continue
+        for j in range(t - i):
+            bv = b.coeffs[j]
+            if bv != 0:
+                out[i + j] = out[i + j] + av * bv
+    return TruncatedSeries(out)
+
+
+def series_pow_loops(a: TruncatedSeries, exponent: int) -> TruncatedSeries:
+    """a ** exponent (exponent >= 0) by repeated ``series_mul_loops``."""
+    result = TruncatedSeries.one(a.order)
+    for _ in range(exponent):
+        result = series_mul_loops(result, a)
+    return result
+
+
+def series_reciprocal_loops(u: TruncatedSeries) -> TruncatedSeries:
+    """1 / u modulo x**order, one coefficient at a time from u * v = 1: the
+    oracle for ``TruncatedSeries.reciprocal``.  The constant term must be
+    +1 or -1."""
+    u0 = u.coeffs[0]
+    if u0 == 1:
+        inv0 = 1
+    elif u0 == -1:
+        inv0 = -1
+    else:
+        raise ValueError(f"constant term {u0} is not a unit (need +1 or -1)")
+    out: list = [inv0]
+    for n in range(1, u.order):
+        acc = 0
+        for j in range(1, n + 1):
+            uj = u.coeffs[j]
+            if uj != 0:
+                acc = acc + uj * out[n - j]
+        out.append(-inv0 * acc)
+    return TruncatedSeries(out)
+
+
 def motzkin_series_quadratic(cval: RingElement, order: int) -> TruncatedSeries:
     """A(x) with constant level weight cval, to the given order.
 

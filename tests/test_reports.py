@@ -40,6 +40,15 @@ def test_symbolic_series_with_long_products_is_pinned(capsys):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
+def test_symbolic_series_identities_are_pinned(capsys):
+    # every clause over Z[c]: products and reciprocals of A^1..A^9 to x^60
+    argv = "verify series_identities --c sym --k-max 8 --order 60 --format json"
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    digest = "406891b4086c6cba9fcaa9ceb76a3cafe80bb5340c3525f3120a1bab2ad91eca"
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
 def _run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

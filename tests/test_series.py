@@ -1,15 +1,23 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from catalan_hankel.ring import C, Polynomial
-from catalan_hankel.sequences import Constant, admissible_table
+from catalan_hankel.sequences import Constant, Explicit, Shifted, admissible_table
 from catalan_hankel.series import (
     NonUnitConstantTermError,
     TruncatedSeries,
     motzkin_power,
     motzkin_series,
 )
-from oracles import motzkin_series_quadratic
+from oracles import (
+    motzkin_series_quadratic,
+    series_mul_loops,
+    series_pow_loops,
+    series_reciprocal_loops,
+)
 
 unit_series = st.lists(st.integers(-4, 4), min_size=3, max_size=12).map(
     lambda tail: TruncatedSeries([1] + tail)
@@ -182,13 +190,15 @@ def test_motzkin_power_one_matches_quadratic_oracle(cval, order):
 
 @given(level_weights, st.integers(0, 6), st.integers(1, 40))
 def test_motzkin_power_matches_oracle_powers(cval, exponent, order):
-    expected = motzkin_series_quadratic(cval, order) ** exponent
+    expected = series_pow_loops(motzkin_series_quadratic(cval, order), exponent)
     assert motzkin_power(cval, exponent, order) == expected
 
 
 @given(level_weights, st.integers(-6, -1), st.integers(1, 40))
 def test_motzkin_power_matches_oracle_reciprocal_powers(cval, exponent, order):
-    expected = (motzkin_series_quadratic(cval, order) ** -exponent).reciprocal()
+    expected = series_reciprocal_loops(
+        series_pow_loops(motzkin_series_quadratic(cval, order), -exponent)
+    )
     assert motzkin_power(cval, exponent, order) == expected
 
 
@@ -224,3 +234,114 @@ def test_motzkin_power_zero_exponent_is_one():
 def test_motzkin_power_needs_a_constant_term():
     with pytest.raises(ValueError):
         motzkin_power(1, 3, 0)
+
+
+# -- product and reciprocal kernels vs the double-loop oracles -----------------
+
+# zero-heavy coefficients: zero is drawn as often as everything else together
+small_ints = st.one_of(st.just(0), st.integers(-4, 4))
+small_polys = st.lists(small_ints, max_size=4).map(Polynomial)
+int_series = st.lists(small_ints, min_size=1, max_size=12).map(TruncatedSeries)
+poly_series = st.lists(small_polys, min_size=1, max_size=12).map(TruncatedSeries)
+any_series = st.one_of(int_series, poly_series)
+units = st.sampled_from([1, -1, Polynomial((1,)), Polynomial((-1,))])
+
+
+def assert_same_series(got, expected, symbolic):
+    assert got == expected
+    assert got.order == expected.order
+    # a series is homogeneous: Polynomial throughout as soon as c may occur
+    kind = Polynomial if symbolic else int
+    assert all(type(v) is kind for v in got.coeffs)
+
+
+def is_symbolic(*series):
+    return any(isinstance(s[0], Polynomial) for s in series)
+
+
+@given(any_series, any_series)
+def test_mul_matches_loop_oracle(a, b):
+    # int x int, Z[c] x Z[c] and both mixed orders; the shorter order wins
+    assert_same_series(a * b, series_mul_loops(a, b), is_symbolic(a, b))
+
+
+@given(any_series, st.one_of(small_ints, small_polys))
+def test_scalar_mul_matches_loop_oracle(a, scalar):
+    expected = series_mul_loops(a, TruncatedSeries.constant(scalar, a.order))
+    symbolic = is_symbolic(a) or isinstance(scalar, Polynomial)
+    assert_same_series(a * scalar, expected, symbolic)
+    assert_same_series(scalar * a, expected, symbolic)
+
+
+@given(units, st.one_of(st.lists(small_ints, max_size=11), st.lists(small_polys, max_size=11)))
+def test_reciprocal_matches_loop_oracle(u0, tail):
+    u = TruncatedSeries([u0] + tail)
+    assert_same_series(u.reciprocal(), series_reciprocal_loops(u), is_symbolic(u))
+
+
+@given(st.sampled_from([0, 1, -2, C]), st.integers(0, 4), st.integers(1, 30))
+def test_motzkin_products_match_loop_oracle(cval, exponent, order):
+    # c = 0 makes every other coefficient zero; C every other term
+    a = motzkin_power(cval, exponent, order)
+    b = motzkin_power(cval, 1, order)
+    assert_same_series(a * b, series_mul_loops(a, b), is_symbolic(a, b))
+    assert_same_series(a.reciprocal(), series_reciprocal_loops(a), is_symbolic(a))
+
+
+def test_kernels_at_orders_one_and_two():
+    for u in ((1,), (-1,), (1, 3), (-1, C), (Polynomial((-1,)), Polynomial())):
+        s = TruncatedSeries(u)
+        symbolic = is_symbolic(s)
+        assert_same_series(s * s, series_mul_loops(s, s), symbolic)
+        assert_same_series(s.reciprocal(), series_reciprocal_loops(s), symbolic)
+
+
+def test_sparse_int_products_match_loop_oracle():
+    # the int kernel sums over the shorter nonzero span: monomials, short
+    # polynomials in x, spans that start late, and the zero series
+    dense = motzkin_power(3, 2, 12)
+    for sparse in (
+        TruncatedSeries.monomial(3, 12, coeff=-2),
+        TruncatedSeries.monomial(11, 12),
+        TruncatedSeries([1, -3] + [0] * 10),
+        TruncatedSeries([0] * 5 + [2, 0, 1] + [0] * 4),
+        TruncatedSeries.constant(0, 12),
+    ):
+        assert_same_series(sparse * dense, series_mul_loops(sparse, dense), False)
+        assert_same_series(dense * sparse, series_mul_loops(dense, sparse), False)
+        assert_same_series(sparse * sparse, series_mul_loops(sparse, sparse), False)
+
+
+def test_zero_symbolic_products_stay_polynomial():
+    zero = TruncatedSeries([Polynomial()] * 4)
+    ones = TruncatedSeries([1, 1, 1, 1])
+    assert_same_series(zero * ones, TruncatedSeries([0] * 4), True)
+    assert_same_series(ones * zero, TruncatedSeries([0] * 4), True)
+    unit = TruncatedSeries([Polynomial((-1,)), Polynomial(), Polynomial()])
+    assert_same_series(unit.reciprocal(), TruncatedSeries([-1, 0, 0]), True)
+
+
+# -- copy and pickle ------------------------------------------------------------
+
+_ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+}
+_IMMUTABLES = {
+    "polynomial": C * C - 4,
+    "int-series": TruncatedSeries([1, 2]),
+    "zc-series": motzkin_series(C, 5),
+    "constant": Constant(C),
+    "explicit": Explicit((1, C, 0), tail=C),
+    "shifted": Shifted(Explicit((C, -1), tail=C), 1),
+}
+
+
+@pytest.mark.parametrize("how", _ROUND_TRIPS)
+@pytest.mark.parametrize("name", _IMMUTABLES)
+def test_immutables_copy_and_pickle(name, how):
+    value = _IMMUTABLES[name]
+    clone = _ROUND_TRIPS[how](value)
+    assert clone == value
+    assert type(clone) is type(value)

@@ -342,6 +342,47 @@ def test_series_identities_build_powers_generically(monkeypatch):
     assert exponents == [1]  # A itself, through motzkin_series
 
 
+@pytest.mark.parametrize("k_max", [0, 3])
+def test_series_identities_refute_a_wrong_a(monkeypatch, k_max):
+    # the residual reads A^2 from the powers, which are built from the same
+    # A: a wrong a_5 must still leave -1 at x^5 of x^2 A^2 + (c x - 1) A + 1
+    real = verify.motzkin_series
+
+    def perturbed(cval, order):
+        return real(cval, order) + TruncatedSeries.monomial(5, order)
+
+    monkeypatch.setattr(verify, "motzkin_series", perturbed)
+    order = 2 * k_max + 8
+    report = check_series_identities(C, k_max, order)
+    assert report.status == "refuted"
+    residual = [w for w in report.failures if w.params["clause"] == "quadratic-residual"]
+    assert residual[0].params == {"clause": "quadratic-residual", "n": 5}
+    assert (residual[0].lhs, residual[0].rhs) == ("-1", "0")
+    clauses = report.params["clauses"]
+    assert clauses["coefficient-bridge"]["instances"] == (k_max + 1) * order
+    assert clauses["quadratic-residual"]["failures"] > 0
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 3])
+def test_series_identities_square_a_once(monkeypatch, k_max):
+    # every other product has a factor with at most two nonzero terms (a
+    # monomial, 1 - c x, -x^2, or the constant 2 of the Lucas recurrence);
+    # full products are the powers A^2..A^max(k_max+1, 2), one each
+    real_mul = TruncatedSeries.__mul__
+    full = []
+
+    def counting(self, other):
+        if isinstance(other, TruncatedSeries) and all(
+            sum(1 for v in s.coeffs if v != 0) > 2 for s in (self, other)
+        ):
+            full.append(self.order)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    assert check_series_identities(C, k_max, 2 * k_max + 6).status == "verified"
+    assert len(full) == max(k_max + 1, 2) - 1
+
+
 def test_flat_reciprocal_plus_shift_is_affine():
     # k = 0 case of the reciprocal identity: 1/A + x^2 A = 1 - c x
     order = 12
