@@ -25,7 +25,6 @@ from .hankel import (
     hankel_det,
     hankel_dets,
     hankel_minors,
-    leading_minors,
 )
 from .series import (
     NonUnitConstantTermError,

@@ -119,7 +119,7 @@ def _format_values(values, fmt, meta):
             writer.writerow([n, render(v)])
         return buf.getvalue().rstrip("\n")
     if fmt == "bfile":
-        if any(isinstance(v, Polynomial) for v in values):
+        if any(isinstance(v, Polynomial) and v.degree() > 0 for v in values):
             raise ValueError("bfile format requires numeric values (--c sym not allowed)")
         return "\n".join(f"{n} {v}" for n, v in enumerate(values))
     return json.dumps({**meta, "values": [_json_value(v) for v in values]}, indent=2)

@@ -11,10 +11,11 @@ any of them reads, and one elimination per (m, k).  One fraction-free
 (Bareiss) elimination of the largest matrix yields every size 0..n
 together: by Sylvester's identity each pivot is a leading principal minor.
 A Hankel matrix is symmetric, and so is every stage of its elimination,
-each entry being a bordered minor; ``leading_minors`` therefore updates
-one triangle per step, about n^3/6 ring operations instead of n^3/3, and
-steps over a zero pivot with a symmetric 2 x 2 block, so the symmetry,
-the minors' signs and the small pivots of a zero prefix all survive.
+each entry being a bordered minor; the one kernel, ``_minors``, takes a
+symmetric matrix and nothing else, updates one triangle per step, about
+n^3/6 ring operations instead of n^3/3, and steps over a zero pivot with a
+symmetric 2 x 2 block, so the symmetry, the minors' signs and the small
+pivots of a zero prefix all survive.
 Every intermediate stays in the coefficient ring.  Each elimination step is
 one ``divmod`` whose remainder must be zero, the same code for ints (the
 builtin, with no Python-level call) and Polynomials; a nonzero remainder,
@@ -68,66 +69,52 @@ def _pair_step(rows, p: int, r: int, prev):
     return pivot
 
 
-def leading_minors(rows) -> list:
-    """Determinants of the leading s x s blocks, s = 0..n, in one elimination.
+def _minors(rows) -> list:
+    """Determinants of the leading s x s blocks, s = 0..n, of the symmetric
+    matrix ``rows``, in one elimination that overwrites the lists it is given.
+    Symmetry is assumed, not checked; only the upper triangle is read.
 
-    One Bareiss pass.  Up to the sign of the row swaps so far, the pivot
-    before step p is the minor of size p + 1 (Sylvester's identity), and
-    entry (i, j) is the minor on rows 0..p-1, i and columns 0..p-1, j.  A
-    zero pivot is repaired from the first lower row r with a nonzero entry
-    in the pivot column.  A block of size at most r then has a zero column
-    after elimination, so its minor is 0; the horizon is the largest such r
-    so far.  With no such row, every larger minor is 0.  The empty block
-    has minor 1.
-
-    On a symmetric matrix (checked once) every stage is symmetric in i and
-    j, so each step updates only j >= i, reading the pivot column off the
-    pivot row.  A zero pivot there is repaired by ``_pair_step``: p + 1
-    and r trade places as rows and as columns, and steps p and p + 1 run
-    together on the 2 x 2 block, whose determinant -x^2 is never 0.  The
-    matrix stays symmetric, and a block larger than r sees p + 1 and r
-    permuted in its rows and its columns alike, so no minor changes sign.
-    (Exchanging p and r instead would make entry (r, r) the pivot; down a
-    Hankel matrix's zero prefix that is a term twice as deep, and the
-    entries it brings grow hundreds of bits where the pair's stay small.)
-
-    Any other matrix has row r swapped in alone, flipping the sign; a block
-    larger than r holds every swapped row and sees exactly this elimination.
+    One Bareiss pass.  The pivot before step p is the minor of size p + 1
+    (Sylvester's identity), and entry (i, j) is the minor on rows 0..p-1, i
+    and columns 0..p-1, j.  Every stage is symmetric in i and j, so each step
+    updates only j >= i, reading the pivot column off the pivot row.  A zero
+    pivot is repaired by ``_pair_step`` from the first nonzero entry (p, r)
+    right of it: p + 1 and r trade places as rows and as columns, and steps p
+    and p + 1 run together on the 2 x 2 block, whose determinant -x^2 is
+    never 0.  A block of size at most r then has a zero row, so its minor is
+    0; the horizon is the largest such r so far.  A larger block sees p + 1
+    and r permuted in its rows and its columns alike, so no minor changes
+    sign.  With no nonzero entry right of the pivot, every larger minor is
+    0.  The empty block has minor 1.  (Exchanging p and r instead would make
+    entry (r, r) the pivot; down a Hankel matrix's zero prefix that is a term
+    twice as deep, and the entries it brings grow hundreds of bits where the
+    pair's stay small.)
     """
-    rows = [list(row) for row in rows]
     n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    symmetric = rows == [list(col) for col in zip(*rows)]
     minors: list = [1]
-    sign = 1
     horizon = 0
     prev: RingElement = 1
     p = 0
     try:
         while p < n:
-            pivot = rows[p][p]
-            minors.append(0 if p < horizon else pivot if sign > 0 else -pivot)
+            top = rows[p]
+            pivot = top[p]
+            minors.append(0 if p < horizon else pivot)
             if pivot == 0:
                 for r in range(p + 1, n):
-                    if (rows[p][r] if symmetric else rows[r][p]) != 0:
+                    if top[r] != 0:
                         break
                 else:
                     return minors + [0] * (n - 1 - p)
                 horizon = max(horizon, r)
-                if symmetric:
-                    prev = _pair_step(rows, p, r, prev)
-                    minors.append(0 if p + 1 < horizon else prev)
-                    p += 2
-                    continue
-                rows[p], rows[r] = rows[r], rows[p]
-                sign = -sign
-                pivot = rows[p][p]
-            top = rows[p]
+                prev = _pair_step(rows, p, r, prev)
+                minors.append(0 if p + 1 < horizon else prev)
+                p += 2
+                continue
             for i in range(p + 1, n):
                 row = rows[i]
-                start, left = (i, top[i]) if symmetric else (p + 1, row[p])
-                for j in range(start, n):
+                left = top[i]
+                for j in range(i, n):
                     row[j], rem = divmod(pivot * row[j] - left * top[j], prev)
                     if rem:
                         raise NotDivisibleError(f"remainder {rem}")
@@ -139,8 +126,17 @@ def leading_minors(rows) -> list:
 
 
 def det_fraction_free(rows) -> RingElement:
-    """Exact determinant: the last of the matrix's leading minors."""
-    return leading_minors(rows)[-1]
+    """Exact determinant of a symmetric matrix: its last leading minor.
+
+    The package itself reaches the elimination only through
+    ``hankel_minors``; this name stays for callers outside it, such as the
+    benchmark's tracer.  Raises ValueError unless ``rows`` is square and
+    symmetric.
+    """
+    rows = [list(row) for row in rows]
+    if any(len(row) != len(rows) for row in rows) or rows != [list(c) for c in zip(*rows)]:
+        raise ValueError("matrix must be square and symmetric")
+    return _minors(rows)[-1]
 
 
 def hankel_minors(terms, n: int) -> list:
@@ -152,7 +148,8 @@ def hankel_minors(terms, n: int) -> list:
         raise ValueError("matrix size must be >= 0")
     if len(terms) < 2 * n - 1:
         raise ValueError(f"size {n} needs {2 * n - 1} terms, got {len(terms)}")
-    return leading_minors([terms[i : i + n] for i in range(n)])
+    terms = list(terms)  # its slices are fresh lists the kernel may overwrite
+    return _minors([terms[i : i + n] for i in range(n)])
 
 
 def table_depth(m: int, n: int) -> int:

@@ -3,7 +3,7 @@
 import functools
 
 from catalan_hankel.hankel import InternalDivisionError
-from catalan_hankel.ring import NotDivisibleError, RingElement, exact_div
+from catalan_hankel.ring import NotDivisibleError, Polynomial, RingElement, exact_div
 from catalan_hankel.sequences import WeightSpec
 from catalan_hankel.series import TruncatedSeries
 
@@ -111,7 +111,8 @@ def leading_minors_row_swaps(rows) -> list:
     in, every larger minor is 0.  The empty block has minor 1.
 
     Updates the whole trailing square at every step, symmetric or not: the
-    oracle for ``hankel.leading_minors``, which updates one triangle.
+    oracle for ``hankel.hankel_minors``, whose kernel takes symmetric
+    matrices only and updates one triangle.
     """
     rows = [list(row) for row in rows]
     n = len(rows)
@@ -153,19 +154,70 @@ def leading_minors_row_swaps(rows) -> list:
     return minors
 
 
-def series_mul_loops(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """a * b modulo x**min(orders) by the double loop over coefficient pairs,
-    skipping zero coefficients: the oracle for ``TruncatedSeries.__mul__``."""
-    t = min(a.order, b.order)
-    out = [0] * t
-    for i, av in enumerate(a.coeffs[:t]):
+def _norm(v: RingElement) -> int:
+    """The sum of the absolute values of v's coefficients in c."""
+    return sum(map(abs, v.coeffs)) if isinstance(v, Polynomial) else abs(v)
+
+
+def _at(v: RingElement, bits: int) -> int:
+    """v at c = 2**bits."""
+    coeffs = v.coeffs if isinstance(v, Polynomial) else (v,)
+    return sum(value << (bits * d) for d, value in enumerate(coeffs))
+
+
+def _digits(value: int, bits: int) -> Polynomial:
+    """The polynomial whose value at c = 2**bits is value, every coefficient
+    taken in [-2**(bits-1), 2**(bits-1))."""
+    coeffs = []
+    while value:
+        digit = value & ((1 << bits) - 1)
+        if digit >> (bits - 1):
+            digit -= 1 << bits
+        coeffs.append(digit)
+        value = (value - digit) >> bits
+    return Polynomial(coeffs)
+
+
+def _over_zc(loop, majorant, *args) -> list:
+    """loop(*args), a list of ring elements, when some entry is a Polynomial.
+
+    Each arg is a ring element or a list of them.  loop only adds and
+    multiplies, so it commutes with putting c = 2**bits (Kronecker
+    substitution), and it runs on ints twice.  First on ``majorant``, the
+    args with every entry replaced by its ``_norm`` and signed so that every
+    term adds: since the norm of a sum or a product is at most the sum or the
+    product of the norms, each value bounds every coefficient of the entry it
+    stands for.  Then at c = 2**bits, one bit past that bound, where every
+    coefficient is a digit of the value.
+    """
+    flat = [v for arg in args for v in (arg if isinstance(arg, list) else [arg])]
+    if not any(isinstance(v, Polynomial) for v in flat):
+        return loop(*args)
+    bits = max(loop(*majorant)).bit_length() + 1
+    at = [[_at(v, bits) for v in arg] if isinstance(arg, list) else _at(arg, bits) for arg in args]
+    return [_digits(value, bits) for value in loop(*at)]
+
+
+def _mul(a: list, b: list) -> list:
+    out = [0] * len(a)
+    for i, av in enumerate(a):
         if av == 0:
             continue
-        for j in range(t - i):
-            bv = b.coeffs[j]
+        for j in range(len(a) - i):
+            bv = b[j]
             if bv != 0:
                 out[i + j] = out[i + j] + av * bv
-    return TruncatedSeries(out)
+    return out
+
+
+def series_mul_loops(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """a * b modulo x**min(orders) by the double loop over coefficient pairs,
+    skipping zero coefficients: the oracle for ``TruncatedSeries.__mul__``.
+    Over Z[c] every coefficient product is one integer product
+    (``_over_zc``)."""
+    t = min(a.order, b.order)
+    x, y = list(a.coeffs[:t]), list(b.coeffs[:t])
+    return TruncatedSeries(_over_zc(_mul, ([_norm(v) for v in x], [_norm(v) for v in y]), x, y))
 
 
 def series_pow_loops(a: TruncatedSeries, exponent: int) -> TruncatedSeries:
@@ -176,26 +228,39 @@ def series_pow_loops(a: TruncatedSeries, exponent: int) -> TruncatedSeries:
     return result
 
 
-def series_reciprocal_loops(u: TruncatedSeries) -> TruncatedSeries:
-    """1 / u modulo x**order, one coefficient at a time from u * v = 1: the
-    oracle for ``TruncatedSeries.reciprocal``.  The constant term must be
-    +1 or -1."""
-    u0 = u.coeffs[0]
-    if u0 == 1:
-        inv0 = 1
-    elif u0 == -1:
-        inv0 = -1
-    else:
-        raise ValueError(f"constant term {u0} is not a unit (need +1 or -1)")
+def _reciprocal(u: list) -> list:
+    inv0 = u[0]  # +1 or -1: its own inverse
     out: list = [inv0]
-    for n in range(1, u.order):
+    for n in range(1, len(u)):
         acc = 0
         for j in range(1, n + 1):
-            uj = u.coeffs[j]
+            uj = u[j]
             if uj != 0:
                 acc = acc + uj * out[n - j]
         out.append(-inv0 * acc)
-    return TruncatedSeries(out)
+    return out
+
+
+def series_reciprocal_loops(u: TruncatedSeries) -> TruncatedSeries:
+    """1 / u modulo x**order, one coefficient at a time from u * v = 1: the
+    oracle for ``TruncatedSeries.reciprocal``.  The constant term must be
+    +1 or -1.  Over Z[c] every coefficient product is one integer product
+    (``_over_zc``; the majorant is 1 / (1 - sum_j |u_j| x^j))."""
+    u0 = u.coeffs[0]
+    if u0 not in (1, -1):
+        raise ValueError(f"constant term {u0} is not a unit (need +1 or -1)")
+    majorant = [1] + [-_norm(v) for v in u.coeffs[1:]]
+    return TruncatedSeries(_over_zc(_reciprocal, (majorant,), list(u.coeffs)))
+
+
+def _quadratic(cval: RingElement, order: int) -> list:
+    coeffs: list = [1]
+    for n in range(1, order):
+        acc = cval * coeffs[n - 1]
+        for j in range(n - 1):
+            acc = acc + coeffs[j] * coeffs[n - 2 - j]
+        coeffs.append(acc)
+    return coeffs
 
 
 def motzkin_series_quadratic(cval: RingElement, order: int) -> TruncatedSeries:
@@ -204,16 +269,11 @@ def motzkin_series_quadratic(cval: RingElement, order: int) -> TruncatedSeries:
     Coefficient recurrence from A = 1 + c*x*A + x^2*A^2:
     a_0 = 1, a_n = c*a_{n-1} + sum_{j=0}^{n-2} a_j a_{n-2-j}.
     Coefficient n equals the triangle entry a[n][0] for the constant spec.
+    Over Z[c] every coefficient product is one integer product (``_over_zc``).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    coeffs: list = [1]
-    for n in range(1, order):
-        acc = cval * coeffs[n - 1]
-        for j in range(n - 1):
-            acc = acc + coeffs[j] * coeffs[n - 2 - j]
-        coeffs.append(acc)
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries(_over_zc(_quadratic, (_norm(cval), order), cval, order))
 
 
 def paths_oracle(w: WeightSpec, n: int, k: int) -> RingElement:

@@ -8,7 +8,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from catalan_hankel.hankel import det_fraction_free, hankel_det
+from catalan_hankel.hankel import det_fraction_free, hankel_det, hankel_minors
 from catalan_hankel.ring import C
 from catalan_hankel.sequences import (
     Constant,
@@ -27,7 +27,7 @@ from catalan_hankel.verify import (
     check_theorem3,
 )
 
-from oracles import det_cofactor, paths_oracle
+from oracles import det_cofactor, leading_minors_row_swaps, paths_oracle
 
 SEED = 20260809
 
@@ -173,12 +173,21 @@ def test_criterion_09_conjecture_report_generated():
 
 
 def test_criterion_10_oracle_suites():
-    # fraction-free elimination vs cofactor expansion, 200 seeded trials
+    # row-swap fraction-free elimination vs cofactor expansion, 200 seeded
+    # general matrices
     rng = random.Random(SEED)
     for _ in range(200):
         size = rng.randint(0, 5)
         rows = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
-        assert det_fraction_free(rows) == det_cofactor(rows)
+        assert leading_minors_row_swaps(rows)[-1] == det_cofactor(rows)
+    # the library's symmetric elimination vs cofactor expansion on every
+    # leading minor, 200 seeded Hankel matrices
+    for _ in range(200):
+        size = rng.randint(0, 5)
+        terms = [rng.randint(-5, 5) for _ in range(max(0, 2 * size - 1))]
+        rows = [terms[i : i + size] for i in range(size)]
+        blocks = [[row[:s] for row in rows[:s]] for s in range(size + 1)]
+        assert hankel_minors(terms, size) == [det_cofactor(b) for b in blocks]
     # triangle recurrence vs exhaustive path enumeration, n <= 9
     for w in (Constant(0), Constant(1), Constant(2), Explicit((1,), 0), Explicit((2, 1), 0)):
         rows = admissible_table(w, 9)

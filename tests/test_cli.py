@@ -499,7 +499,7 @@ def test_det_internal_division_error_exits_two(capsys, monkeypatch):
     def failing(matrix):
         raise InternalDivisionError("inexact division at elimination step 0")
 
-    monkeypatch.setattr(hankel, "leading_minors", failing)
+    monkeypatch.setattr(hankel, "_minors", failing)
     code, out, err = run_cli(capsys, "det", "--weights", "const:1", "--n", "3")
     assert code == 2
     assert out == ""
@@ -707,6 +707,14 @@ def test_usage_error_bfile_with_symbols(capsys):
     code, _, err = run_cli(capsys, "seq", "--weights", "const:c", "--n", "3", "--format", "bfile")
     assert code == 2
     assert "bfile" in err
+
+
+def test_bfile_prints_values_held_as_constant_polynomials(capsys):
+    # c never reaches column 0 of the first three rows: every value is numeric
+    code, out, err = run_cli(
+        capsys, "seq", "--weights", "explicit:1,c", "--n", "3", "--format", "bfile"
+    )
+    assert (code, out, err) == (0, "0 1\n1 1\n2 2\n", "")
 
 
 def test_usage_error_unknown_claim(capsys):

@@ -11,7 +11,6 @@ from catalan_hankel.hankel import (
     hankel_det,
     hankel_dets,
     hankel_minors,
-    leading_minors,
 )
 from catalan_hankel.ring import C, NotDivisibleError, Polynomial
 from catalan_hankel.sequences import (
@@ -34,6 +33,11 @@ ZERO_HEAVY = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3))
 ZERO_HEAVY_ZC = st.one_of(
     ZERO_HEAVY, ZERO_HEAVY.map(lambda a: a * C), ZERO_HEAVY.map(lambda a: a + C)
 )
+
+
+def minors(rows):
+    """The library's leading minors of a symmetric matrix, on a copy."""
+    return hankel._minors([list(row) for row in rows])
 
 
 def _symmetric(entries):
@@ -94,8 +98,10 @@ def test_spec_validation():
         hankel_dets(Constant(1), [(0, 0, -1)])
     with pytest.raises(ValueError, match="column index"):
         hankel_dets(Constant(1), [(0, 0, 3), (-2, -1, 0)])
-    with pytest.raises(ValueError):
-        leading_minors([[1, 2]])
+    # non-square, ragged, unsymmetric
+    for rows in ([[1, 2]], [[1, 2], [2]], [[1, 2], [3, 4]], [[0, C], [C + 1, 1]]):
+        with pytest.raises(ValueError, match="square and symmetric"):
+            det_fraction_free(rows)
 
 
 def test_shallow_table_raises_instead_of_truncating():
@@ -132,7 +138,7 @@ def test_det_empty_matrix_is_one():
     )
 )
 def test_det_matches_cofactor_expansion(rows):
-    assert det_fraction_free(rows) == det_cofactor(rows)
+    assert leading_minors_row_swaps(rows)[-1] == det_cofactor(rows)
 
 
 def test_det_matches_cofactor_on_seeded_trials():
@@ -140,7 +146,7 @@ def test_det_matches_cofactor_on_seeded_trials():
     for _ in range(60):
         n = rng.randint(0, 5)
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        assert det_fraction_free(rows) == det_cofactor(rows)
+        assert det_bareiss_per_size(rows) == det_cofactor(rows)
 
 
 def test_det_symbolic_matches_cofactor():
@@ -151,13 +157,15 @@ def test_det_symbolic_matches_cofactor():
             [rng.randint(-3, 3) + rng.randint(-2, 2) * C for _ in range(n)]
             for _ in range(n)
         ]
-        assert det_fraction_free(rows) == det_cofactor(rows)
+        assert det_bareiss_per_size(rows) == det_cofactor(rows)
 
 
 def test_permutation_matrix_signs():
     for perm in permutations(range(4)):
         rows = [[1 if j == perm[i] else 0 for j in range(4)] for i in range(4)]
-        assert det_fraction_free(rows) == perm_sign(perm)
+        assert det_bareiss_per_size(rows) == perm_sign(perm)
+        if all(perm[p] == i for i, p in enumerate(perm)):  # an involution: symmetric
+            assert det_fraction_free(rows) == perm_sign(perm)
 
 
 def test_duplicated_row_kills_determinant():
@@ -167,7 +175,7 @@ def test_duplicated_row_kills_determinant():
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         i, j = rng.sample(range(n), 2)
         rows[i] = list(rows[j])
-        assert det_fraction_free(rows) == 0
+        assert det_bareiss_per_size(rows) == 0
 
 
 @given(
@@ -179,11 +187,14 @@ def test_duplicated_row_kills_determinant():
 )
 def test_leading_minors_match_cofactor_on_zero_heavy_matrices(rows):
     blocks = [[row[:s] for row in rows[:s]] for s in range(len(rows) + 1)]
-    minors = leading_minors(rows)
-    assert minors == [det_cofactor(block) for block in blocks]
+    assert leading_minors_row_swaps(rows) == [det_cofactor(block) for block in blocks]
 
 
-@given(st.integers(0, 7), st.integers(0, 6), st.lists(ZERO_HEAVY, min_size=13, max_size=13))
+@given(
+    st.integers(0, 7),
+    st.integers(0, 6),
+    st.one_of(*(st.lists(e, min_size=13, max_size=13) for e in (ZERO_HEAVY, ZERO_HEAVY_ZC))),
+)
 def test_hankel_minors_match_cofactor_after_a_zero_prefix(n, zeros, tail):
     # lemma13's negative shift: the sequence starts with a run of zeros
     terms = [0] * zeros + tail
@@ -195,7 +206,7 @@ def test_hankel_minors_match_cofactor_after_a_zero_prefix(n, zeros, tail):
 @given(st.one_of(_symmetric(ZERO_HEAVY), _symmetric(ZERO_HEAVY_ZC)))
 def test_leading_minors_match_cofactor_on_symmetric_zero_heavy_matrices(rows):
     blocks = [[row[:s] for row in rows[:s]] for s in range(len(rows) + 1)]
-    assert leading_minors(rows) == [det_cofactor(block) for block in blocks]
+    assert minors(rows) == [det_cofactor(block) for block in blocks]
 
 
 @given(
@@ -211,24 +222,24 @@ def test_hankel_minors_match_the_row_swap_oracle_after_a_zero_prefix(n, zeros, t
 
 def test_leading_minors_pair_step_on_adjacent_rows():
     # symmetric, pivot 0: steps 0 and 1 run together on [[0, 1], [1, 1]]
-    assert leading_minors([[0, 1], [1, 1]]) == [1, 0, -1]
+    assert minors([[0, 1], [1, 1]]) == [1, 0, -1]
 
 
 def test_leading_minors_pair_step_with_a_zero_diagonal():
     # entry (1, 1) is 0 too: the pair's determinant -1 is still the pivot
-    assert leading_minors([[0, 1], [1, 0]]) == [1, 0, -1]
+    assert minors([[0, 1], [1, 0]]) == [1, 0, -1]
 
 
 def test_leading_minors_pair_steps_exchange_a_far_row():
     # two pairs: at step 0 with row 1, at step 2 with row 3
     rows = [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
     blocks = [[row[:s] for row in rows[:s]] for s in range(5)]
-    assert leading_minors(rows) == [1, 0, -1, 0, 1]
-    assert leading_minors(rows) == [det_cofactor(block) for block in blocks]
+    assert minors(rows) == [1, 0, -1, 0, 1]
+    assert minors(rows) == [det_cofactor(block) for block in blocks]
     # over Z[c]: step 0 pairs with row 2, exchanged into place 1; blocks of
     # size 1 and 2 have a zero first row; step 3 pairs with row 4
     rows = [[0, 0, C, 0, 0], [0, 1, 0, 0, 0], [C, 0, 1, 0, 0], [0, 0, 0, 0, C], [0, 0, 0, C, 0]]
-    assert leading_minors(rows) == [1, 0, 0, -C * C, 0, C**4]
+    assert minors(rows) == [1, 0, 0, -C * C, 0, C**4]
     # a Hankel matrix behind a zero prefix of 3: every block up to size 3 is 0
     terms = [0, 0, 0, 1, 2, 5, 14, 42, 132]
     assert hankel_minors(terms, 5) == leading_minors_row_swaps(
@@ -247,37 +258,45 @@ def test_symmetric_elimination_updates_one_triangle(monkeypatch):
         return divmod(a, b)
 
     monkeypatch.setattr(hankel, "divmod", counting, raising=False)
-    assert leading_minors(rows) == [1] * 7
+    assert hankel_minors(catalan, 6) == [1] * 7
     assert len(calls) == sum(m * (m + 1) // 2 for m in range(6))  # j >= i only
-    calls.clear()
-    rows[5][0] += 1  # no longer symmetric: whole rows
-    assert leading_minors(rows) == leading_minors_row_swaps(rows)
-    assert len(calls) == sum(m * m for m in range(6))
+    rows[5][0] += 1  # no longer symmetric: only the row-swap oracle takes it
+    blocks = [[row[:s] for row in rows[:s]] for s in range(7)]
+    assert leading_minors_row_swaps(rows) == [det_cofactor(block) for block in blocks]
+    with pytest.raises(ValueError, match="symmetric"):
+        det_fraction_free(rows)
 
 
 def test_leading_minors_anti_identity():
     rows = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
-    assert leading_minors(rows) == [1, 0, 0, -1]
+    assert minors(rows) == [1, 0, 0, -1]
 
 
 def test_leading_minors_zero_below_a_far_swap_row():
     # the step-0 swap brings in row 3: blocks of size 1..3 have a zero column
     rows = [[0, 2, 1, 0], [0, 1, 3, 1], [0, 5, 1, 2], [3, 1, 0, 1]]
-    minors = leading_minors(rows)
-    assert minors == [1, 0, 0, 0, det_cofactor(rows)]
-    assert minors[4] != 0
+    blocks = [[row[:s] for row in rows[:s]] for s in range(5)]
+    swapped = leading_minors_row_swaps(rows)
+    assert swapped == [1, 0, 0, 0, det_cofactor(rows)]
+    assert swapped == [det_cofactor(block) for block in blocks]
+    assert swapped[4] != 0
 
 
 def test_leading_minors_stop_when_no_row_can_be_swapped_in():
     # after step 0 the pivot column below row 0 is all zero
     rows = [[1, 2, 3], [2, 4, 5], [3, 6, 7]]
-    assert leading_minors(rows) == [1, 1, 0, 0]
+    blocks = [[row[:s] for row in rows[:s]] for s in range(4)]
+    assert leading_minors_row_swaps(rows) == [1, 1, 0, 0]
+    assert leading_minors_row_swaps(rows) == [det_cofactor(block) for block in blocks]
 
 
 def test_leading_minors_symbolic_zeros_compare_by_value():
     # a zero minor over Z[c] may be the zero polynomial rather than int 0
-    assert leading_minors([[C, 1], [C, 1]]) == [1, C, 0]
-    assert leading_minors([[0, C], [C, 1]]) == [1, 0, -C * C]
+    rows = [[C, 1], [C, 1]]  # not symmetric: the row-swap oracle
+    blocks = [[row[:s] for row in rows[:s]] for s in range(3)]
+    assert leading_minors_row_swaps(rows) == [1, C, 0]
+    assert leading_minors_row_swaps(rows) == [det_cofactor(block) for block in blocks]
+    assert minors([[0, C], [C, 1]]) == [1, 0, -C * C]
 
 
 class _RemainderDivisor(int):
@@ -297,15 +316,18 @@ class _LeadingCoefficientDivisor(int):
 @pytest.mark.parametrize("divisor", [_RemainderDivisor, _LeadingCoefficientDivisor])
 def test_leading_minors_check_every_quotient(divisor):
     # step 0 divides by 1; step 1 divides by the first pivot, the broken one:
-    # symmetric (one triangle), unsymmetric (whole rows), and a pair step
-    # at step 1, whose pivot 0 needs row 2
+    # one triangle, and a pair step at step 1, whose pivot 0 needs row 2
     for rows in (
         [[divisor(2), 1, 1], [1, 2, 1], [1, 1, 2]],
-        [[divisor(2), 1, 1], [1, 2, 1], [0, 1, 2]],
         [[divisor(1), 1, 1], [1, 1, 2], [1, 2, 1]],
     ):
         with pytest.raises(InternalDivisionError, match="elimination step 1"):
-            leading_minors(rows)
+            minors(rows)
+        with pytest.raises(InternalDivisionError, match="elimination step 1"):
+            det_fraction_free(rows)
+    # not symmetric (whole rows): the row-swap oracle checks its quotients too
+    with pytest.raises(InternalDivisionError, match="elimination step 1"):
+        leading_minors_row_swaps([[divisor(2), 1, 1], [1, 2, 1], [0, 1, 2]])
 
 
 HANKEL_WEIGHTS = st.one_of(

@@ -214,7 +214,7 @@ def test_identities7_8_more_weights():
 def test_checkers_eliminate_once_per_shift_and_column(monkeypatch):
     sizes = []
     specs = []
-    real = hankel.leading_minors
+    real = hankel._minors
     real_columns = verify.columns
 
     def counting(rows):
@@ -225,7 +225,7 @@ def test_checkers_eliminate_once_per_shift_and_column(monkeypatch):
         specs.append(w)
         return real_columns(w, ks, depth)
 
-    monkeypatch.setattr(hankel, "leading_minors", counting)
+    monkeypatch.setattr(hankel, "_minors", counting)
     monkeypatch.setattr(hankel, "columns", counting_columns)
     monkeypatch.setattr(verify, "columns", counting_columns)
     assert check_corollary6(1, 6, 30).status == "verified"
