@@ -39,7 +39,8 @@ SERIES_MAX_SYMBOLIC_WORK = 16 * 1400**3
 #: also held to TABLE_MAX_N for the triangle depth 2(n-1)+m it reads.
 SEQ_MAX_N, TABLE_MAX_N, DET_MAX_N = 2000, 1000, 300
 #: Weights holding c admit a fifth of each of those: entries are then
-#: polynomials (const:c: `seq --n 400` 2.3 s and 29 MB, `det --n 60` 1.6 s).
+#: polynomials (const:c: `seq --n 400` 2.3 s and 29 MB; `det --n 60` 2.0-2.3 s,
+#: 7.5-8.7 s with `--m 1` and 25-28 s with `--m 3 --k 2`).
 SYMBOLIC_SHARE = 5
 #: Integer weights of b bits at the heights used lower each size ceiling to
 #: the largest n with n**3 * (b + 1) * (b + 250) <= WEIGHT_BITS_WORK *

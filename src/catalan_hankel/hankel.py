@@ -16,20 +16,37 @@ symmetric matrix and nothing else, updates one triangle per step, about
 n^3/6 ring operations instead of n^3/3, and steps over a zero pivot with a
 symmetric 2 x 2 block, so the symmetry, the minors' signs and the small
 pivots of a zero prefix all survive.
-Every intermediate stays in the coefficient ring.  Each elimination step is
-one ``divmod`` whose remainder must be zero, the same code for ints (the
-builtin, with no Python-level call) and Polynomials; a nonzero remainder,
-or a leading coefficient that does not divide, raises InternalDivisionError.
+Every intermediate stays in the coefficient ring, and every division must
+be exact.  Over the ints each entry is one builtin ``divmod`` inline, its
+remainder checked.  A matrix over Z[c] (``hankel_minors`` decides from its
+2n - 1 terms) is converted once to int coefficient lists, and the Z[c] step
+builds no Polynomial per entry: each numerator is one int list, then one
+exact long division by the previous pivot (or its square, in a pair step);
+only the minors are returned as Polynomials.  A nonzero remainder, or a
+leading coefficient that does not divide, raises InternalDivisionError.
 """
 
 from __future__ import annotations
 
-from .ring import NotDivisibleError, RingElement
+from .ring import NotDivisibleError, Polynomial, RingElement, _long_division, _poly_from_list
 from .sequences import WeightSpec, columns
+from .series import _convolve
 
 
 class InternalDivisionError(RuntimeError):
     """An elimination division was not exact; the state is corrupted."""
+
+
+def _exchange(rows, p: int, r: int) -> None:
+    """Exchange indices p + 1 and r of the symmetric matrix ``rows``, rows
+    and columns alike, in its upper triangle (j >= i)."""
+    a, b = p + 1, r
+    top, ra, rb = rows[p], rows[a], rows[b]
+    top[a], top[b] = top[b], top[a]
+    ra[a], rb[b] = rb[b], ra[a]
+    ra[b + 1 :], rb[b + 1 :] = rb[b + 1 :], ra[b + 1 :]
+    for j in range(a + 1, b):
+        ra[j], rows[j][b] = rows[j][b], ra[j]
 
 
 def _pair_step(rows, p: int, r: int, prev):
@@ -45,14 +62,10 @@ def _pair_step(rows, p: int, r: int, prev):
     bordered by row i and column j, divided by prev squared, and the next
     pivot is the block's determinant -x^2 divided by prev.
     """
+    _exchange(rows, p, r)
     n = len(rows)
-    a, b = p + 1, r
-    top, ra, rb = rows[p], rows[a], rows[b]
-    top[a], top[b] = top[b], top[a]
-    ra[a], rb[b] = rb[b], ra[a]
-    ra[b + 1 :], rb[b + 1 :] = rb[b + 1 :], ra[b + 1 :]
-    for j in range(a + 1, b):
-        ra[j], rows[j][b] = rows[j][b], ra[j]
+    a = p + 1
+    top, ra = rows[p], rows[a]
     x, y = top[a], ra[a]
     square = prev * prev
     for i in range(a + 1, n):
@@ -69,10 +82,94 @@ def _pair_step(rows, p: int, r: int, prev):
     return pivot
 
 
+# -- Z[c] ----------------------------------------------------------------------
+#
+# A matrix over Z[c] holds each entry as the dense list of its int
+# coefficients in c, lowest first, [] for zero; an entry is replaced, never
+# changed in place.  Every factor is read as its nonzero (degree, value)
+# terms, a multiplier once per step or row, so zero coefficients cost
+# nothing.  Each new entry's numerator is one int list (``series._convolve``)
+# and one exact long division by prev (or prev squared) makes it the entry.
+
+
+def _coeffs(v: RingElement) -> list:
+    """The coefficient list of a ring element."""
+    return list(v.coeffs) if isinstance(v, Polynomial) else [v] if v else []
+
+
+def _terms(cs: list, scale: int = 1) -> list:
+    """The nonzero terms of scale * cs as (degree, value) pairs."""
+    return [(d, scale * x) for d, x in enumerate(cs) if x]
+
+
+def _degree(terms: list) -> int:
+    """The degree of the element given by its terms; -1 for zero."""
+    return terms[-1][0] if terms else -1
+
+
+def _exact_div(num: list, den: list) -> list:
+    """num / den in Z[c], den given as its terms; num is used up.  Raises
+    NotDivisibleError on a leading coefficient that does not divide and on
+    a nonzero remainder."""
+    while num and not num[-1]:
+        num.pop()
+    quot = _long_division(num, den)
+    if any(num[: den[-1][0]]):
+        raise NotDivisibleError(f"remainder {num[: den[-1][0]]}")
+    return quot
+
+
+def _step_zc(rows, p: int, prev: list) -> None:
+    """Step p over Z[c]: (i, j) becomes (pivot (i, j) - (p, i) (p, j)) / prev."""
+    n = len(rows)
+    top = rows[p]
+    tops = [_terms(v) for v in top]
+    pivot, den = tops[p], _terms(prev)
+    dp = pivot[-1][0]
+    for i in range(p + 1, n):
+        row = rows[i]
+        left = _terms(top[i], -1)
+        dl = _degree(left)
+        for j in range(i, n):
+            a = row[j]
+            width = max(dp + len(a), dl + len(top[j]))
+            row[j] = _exact_div(_convolve(width, (pivot, left), (_terms(a), tops[j])), den)
+
+
+def _pair_step_zc(rows, p: int, r: int, prev: list) -> list:
+    """``_pair_step`` over Z[c].  With u = (p, i) and v = (p + 1, i), the
+    bordered minor is x u (p + 1, j) + (x v - y u) (p, j) - x^2 (i, j), so
+    each row reads three multipliers."""
+    _exchange(rows, p, r)
+    n = len(rows)
+    a = p + 1
+    top, ra = rows[p], rows[a]
+    tops, ras = [_terms(v) for v in top], [_terms(v) for v in ra]
+    x, minus_y, before = tops[a], _terms(ra[a], -1), _terms(prev)
+    dx, dy = x[-1][0], _degree(minus_y)
+    minus_x2 = _convolve(2 * dx + 1, (_terms(top[a], -1),), (x,))
+    square = _terms(_convolve(2 * len(prev) - 1, (before,), (before,)))
+    minus_x2_terms = _terms(minus_x2)
+    for i in range(a + 1, n):
+        row = rows[i]
+        xu = _terms(_convolve(dx + len(top[i]), (x,), (tops[i],)))
+        width = max(dx + len(ra[i]), dy + len(top[i]))
+        xv_yu = _terms(_convolve(width, (x, minus_y), (ras[i], tops[i])))
+        du, dv = _degree(xu), _degree(xv_yu)
+        for j in range(i, n):
+            b = row[j]
+            width = max(du + len(ra[j]), dv + len(top[j]), 2 * dx + len(b))
+            minor = _convolve(width, (xu, xv_yu, minus_x2_terms), (ras[j], tops[j], _terms(b)))
+            row[j] = _exact_div(minor, square)
+    return _exact_div(minus_x2, before)
+
+
 def _minors(rows) -> list:
     """Determinants of the leading s x s blocks, s = 0..n, of the symmetric
     matrix ``rows``, in one elimination that overwrites the lists it is given.
-    Symmetry is assumed, not checked; only the upper triangle is read.
+    Symmetry is assumed, not checked; only the upper triangle is read.  The
+    entries are ints, or, for a matrix over Z[c], all coefficient lists
+    (entry (0, 0) tells which), and then the minors come back as Polynomials.
 
     One Bareiss pass.  The pivot before step p is the minor of size p + 1
     (Sylvester's identity), and entry (i, j) is the minor on rows 0..p-1, i
@@ -91,38 +188,43 @@ def _minors(rows) -> list:
     pair's stay small.)
     """
     n = len(rows)
+    zc = n > 0 and type(rows[0][0]) is list
     minors: list = [1]
     horizon = 0
-    prev: RingElement = 1
+    prev = [1] if zc else 1
     p = 0
     try:
         while p < n:
             top = rows[p]
             pivot = top[p]
             minors.append(0 if p < horizon else pivot)
-            if pivot == 0:
+            if not pivot:
                 for r in range(p + 1, n):
-                    if top[r] != 0:
+                    if top[r]:
                         break
                 else:
-                    return minors + [0] * (n - 1 - p)
+                    minors += [0] * (n - 1 - p)
+                    break
                 horizon = max(horizon, r)
-                prev = _pair_step(rows, p, r, prev)
+                prev = (_pair_step_zc if zc else _pair_step)(rows, p, r, prev)
                 minors.append(0 if p + 1 < horizon else prev)
                 p += 2
                 continue
-            for i in range(p + 1, n):
-                row = rows[i]
-                left = top[i]
-                for j in range(i, n):
-                    row[j], rem = divmod(pivot * row[j] - left * top[j], prev)
-                    if rem:
-                        raise NotDivisibleError(f"remainder {rem}")
+            if zc:
+                _step_zc(rows, p, prev)
+            else:
+                for i in range(p + 1, n):
+                    row = rows[i]
+                    left = top[i]
+                    for j in range(i, n):
+                        row[j], rem = divmod(pivot * row[j] - left * top[j], prev)
+                        if rem:
+                            raise NotDivisibleError(f"remainder {rem}")
             prev = pivot
             p += 1
     except NotDivisibleError as exc:
         raise InternalDivisionError(f"inexact division at elimination step {p}") from exc
-    return minors
+    return [_poly_from_list(v) if type(v) is list else v for v in minors] if zc else minors
 
 
 def det_fraction_free(rows) -> RingElement:
@@ -136,6 +238,8 @@ def det_fraction_free(rows) -> RingElement:
     rows = [list(row) for row in rows]
     if any(len(row) != len(rows) for row in rows) or rows != [list(c) for c in zip(*rows)]:
         raise ValueError("matrix must be square and symmetric")
+    if any(isinstance(v, Polynomial) for row in rows for v in row):
+        rows = [[_coeffs(v) for v in row] for row in rows]
     return _minors(rows)[-1]
 
 
@@ -149,6 +253,8 @@ def hankel_minors(terms, n: int) -> list:
     if len(terms) < 2 * n - 1:
         raise ValueError(f"size {n} needs {2 * n - 1} terms, got {len(terms)}")
     terms = list(terms)  # its slices are fresh lists the kernel may overwrite
+    if Polynomial in map(type, terms[: 2 * n - 1]):
+        terms = [_coeffs(v) for v in terms[: 2 * n - 1]]
     return _minors([terms[i : i + n] for i in range(n)])
 
 

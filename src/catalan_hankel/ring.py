@@ -7,8 +7,10 @@ polynomials in one symbol, rendered as ``c``).  The two kinds mix freely in
 schoolbook multiply: most multipliers here are short (``c * p``) or small,
 where packing both factors into one big integer costs more than it saves.
 There is one division algorithm: ``divmod`` is the builtin one on ints and
-long division in Z[c] on Polynomials, which raises NotDivisibleError when a
-leading coefficient does not divide (the quotient would leave Z[c]).
+long division in Z[c] on Polynomials (``_long_division``, on int
+coefficient lists, which the elimination over Z[c] calls directly); it
+raises NotDivisibleError when a leading coefficient does not divide (the
+quotient would leave Z[c]).
 :func:`exact_div` is ``divmod`` followed by a check that the remainder is
 zero, so a division that is not exact always fails loudly, whatever the
 operand types.
@@ -145,23 +147,8 @@ class Polynomial:
         if not den:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        span = len(rem) - len(den)
-        if span < 0:
-            return Polynomial(), self
-        lead = den[-1]
-        quot = [0] * (span + 1)
-        for i in range(span, -1, -1):
-            top = rem[i + len(den) - 1]
-            if top == 0:
-                continue
-            q, r = divmod(top, lead)
-            if r:
-                raise NotDivisibleError(f"{self} is not divisible by {other}")
-            quot[i] = q
-            for j, dv in enumerate(den):
-                rem[i + j] -= q * dv
-        # every step cleared its top coefficient: only the low ones remain
-        return Polynomial(quot), Polynomial(rem[: len(den) - 1])
+        quot = _long_division(rem, [(d, v) for d, v in enumerate(den) if v])
+        return _poly_from_list(quot), Polynomial(rem[: len(den) - 1])
 
     def __rdivmod__(self, other):
         other = self._coerce(other)
@@ -240,6 +227,26 @@ def _poly_from_list(cs: list) -> Polynomial:
     p = object.__new__(Polynomial)
     object.__setattr__(p, "coeffs", tuple(cs))
     return p
+
+
+def _long_division(rem: list, den: list) -> list:
+    """The quotient of the int coefficient lists rem / den in Z[c], den given
+    as its nonzero (degree, value) terms and rem without trailing zeros; rem
+    is left holding the remainder in its low deg(den) entries.  Raises
+    NotDivisibleError when a leading coefficient does not divide."""
+    k, lead = den[-1]
+    low = den[:-1]
+    quot = [0] * (len(rem) - k)
+    for i in range(len(rem) - k - 1, -1, -1):
+        top = rem[i + k]
+        if top:
+            q, r = divmod(top, lead)
+            if r:
+                raise NotDivisibleError(f"leading coefficient {top} not divisible by {lead}")
+            quot[i] = q
+            for d, v in low:
+                rem[i + d] -= q * v
+    return quot
 
 
 def exact_div(a: RingElement, b: RingElement) -> RingElement:

@@ -154,6 +154,79 @@ def leading_minors_row_swaps(rows) -> list:
     return minors
 
 
+def _pair_step(rows, p, r, prev):
+    # steps p and p + 1 at once on the upper triangle, after exchanging
+    # p + 1 and r as rows and columns: the 3 x 3 bordered minor over prev^2
+    n = len(rows)
+    a, b = p + 1, r
+    top, ra, rb = rows[p], rows[a], rows[b]
+    top[a], top[b] = top[b], top[a]
+    ra[a], rb[b] = rb[b], ra[a]
+    ra[b + 1 :], rb[b + 1 :] = rb[b + 1 :], ra[b + 1 :]
+    for j in range(a + 1, b):
+        ra[j], rows[j][b] = rows[j][b], ra[j]
+    x, y = top[a], ra[a]
+    square = prev * prev
+    for i in range(a + 1, n):
+        row = rows[i]
+        u, v = top[i], ra[i]
+        for j in range(i, n):
+            minor = x * (u * ra[j] + v * top[j] - x * row[j]) - y * u * top[j]
+            row[j], rem = divmod(minor, square)
+            if rem:
+                raise NotDivisibleError(f"remainder {rem}")
+    pivot, rem = divmod(-x * x, prev)
+    if rem:
+        raise NotDivisibleError(f"remainder {rem}")
+    return pivot
+
+
+def symmetric_minors_generic(rows) -> list:
+    """Leading minors, sizes 0..n, of a symmetric matrix by the symmetric
+    elimination written once for every ring element: each entry is one
+    ``divmod`` of ring elements, Polynomials over Z[c].  The oracle for
+    ``hankel._minors``, whose Z[c] path works on int coefficient lists.
+
+    Upper triangle only; a zero pivot at p pairs with the first nonzero
+    (p, r), r trading places with p + 1 as row and column, and the minors of
+    sizes p + 1..r are 0.  Works on a copy.
+    """
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    minors: list = [1]
+    horizon = 0
+    prev: RingElement = 1
+    p = 0
+    try:
+        while p < n:
+            top = rows[p]
+            pivot = top[p]
+            minors.append(0 if p < horizon else pivot)
+            if pivot == 0:
+                for r in range(p + 1, n):
+                    if top[r] != 0:
+                        break
+                else:
+                    return minors + [0] * (n - 1 - p)
+                horizon = max(horizon, r)
+                prev = _pair_step(rows, p, r, prev)
+                minors.append(0 if p + 1 < horizon else prev)
+                p += 2
+                continue
+            for i in range(p + 1, n):
+                row = rows[i]
+                left = top[i]
+                for j in range(i, n):
+                    row[j], rem = divmod(pivot * row[j] - left * top[j], prev)
+                    if rem:
+                        raise NotDivisibleError(f"remainder {rem}")
+            prev = pivot
+            p += 1
+    except NotDivisibleError as exc:
+        raise InternalDivisionError(f"inexact division at elimination step {p}") from exc
+    return minors
+
+
 def _norm(v: RingElement) -> int:
     """The sum of the absolute values of v's coefficients in c."""
     return sum(map(abs, v.coeffs)) if isinstance(v, Polynomial) else abs(v)

@@ -506,6 +506,18 @@ def test_det_internal_division_error_exits_two(capsys, monkeypatch):
     assert err == "error: inexact division at elimination step 0\n"
 
 
+def test_det_inexact_division_over_zc_exits_two(capsys, monkeypatch):
+    # the Z[c] kernel's own division fails: a Polynomial is never divided
+    def failing(num, den):
+        raise NotDivisibleError("remainder [1]")
+
+    monkeypatch.setattr(hankel, "_exact_div", failing)
+    code, out, err = run_cli(capsys, "det", "--weights", "const:c", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: inexact division at elimination step 0\n"
+
+
 def test_table_text(capsys):
     code, out, _ = run_cli(capsys, "table", "--weights", "const:1", "--n-max", "3")
     assert code == 0

@@ -27,6 +27,7 @@ from oracles import (
     hankel_rows,
     leading_minors_row_swaps,
     perm_sign,
+    symmetric_minors_generic,
 )
 
 ZERO_HEAVY = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3))
@@ -36,7 +37,11 @@ ZERO_HEAVY_ZC = st.one_of(
 
 
 def minors(rows):
-    """The library's leading minors of a symmetric matrix, on a copy."""
+    """The library's leading minors of a symmetric matrix, on a copy; one
+    holding c goes in as coefficient lists, the way ``hankel_minors`` hands
+    a Hankel matrix over Z[c] to the kernel."""
+    if any(isinstance(v, Polynomial) for row in rows for v in row):
+        return hankel._minors([[hankel._coeffs(v) for v in row] for row in rows])
     return hankel._minors([list(row) for row in rows])
 
 
@@ -328,6 +333,138 @@ def test_leading_minors_check_every_quotient(divisor):
     # not symmetric (whole rows): the row-swap oracle checks its quotients too
     with pytest.raises(InternalDivisionError, match="elimination step 1"):
         leading_minors_row_swaps([[divisor(2), 1, 1], [1, 2, 1], [0, 1, 2]])
+
+
+# -- the Z[c] kernel -----------------------------------------------------------
+
+SMALL_POLY = st.lists(st.integers(-3, 3), max_size=4).map(Polynomial)
+ZC_ENTRIES = st.one_of(ZERO_HEAVY_ZC, SMALL_POLY)
+
+
+@st.composite
+def _with_a_multiple(draw, entries):
+    """A symmetric matrix in which index s repeats index k times a factor f
+    (rows and columns alike), so every block holding both is singular and,
+    over Z[c], its minor the zero polynomial."""
+    rows = draw(_symmetric(entries).filter(lambda rows: 0 < len(rows) < 8))
+    n = len(rows)
+    k, s = draw(st.integers(0, n - 1)), draw(st.integers(0, n))
+    f = draw(st.sampled_from((1, -2, C, C + 1, 2 * C - 1)))
+    scale = [f if t == s else 1 for t in range(n + 1)]
+    index = list(range(n))
+    index.insert(s, k)
+    return [
+        [scale[i] * scale[j] * rows[a][b] for j, b in enumerate(index)]
+        for i, a in enumerate(index)
+    ]
+
+
+@given(st.one_of(_symmetric(ZC_ENTRIES), _with_a_multiple(ZC_ENTRIES)))
+def test_zc_minors_match_the_generic_kernel_and_cofactor(rows):
+    # mixed int and Polynomial entries, zero pivots and zero horizons, and
+    # blocks whose minor is the zero polynomial
+    blocks = [[row[:s] for row in rows[:s]] for s in range(len(rows) + 1)]
+    expected = [det_cofactor(block) for block in blocks]
+    assert minors(rows) == symmetric_minors_generic(rows) == expected
+
+
+@given(
+    st.integers(0, 12),
+    st.integers(0, 6),
+    st.lists(ZC_ENTRIES, min_size=23, max_size=23),
+)
+def test_hankel_minors_over_zc_match_the_generic_kernel(n, zeros, tail):
+    terms = [0] * zeros + tail
+    rows = [[terms[i + j] for j in range(n)] for i in range(n)]
+    assert hankel_minors(terms, n) == symmetric_minors_generic(rows)
+
+
+def test_zc_minors_of_a_rank_one_hankel_matrix_are_zero_polynomials():
+    # (c^(i+j)) has rank 1; behind one zero, a pair step comes first
+    assert hankel_minors([C**t for t in range(9)], 5) == [1, 1, 0, 0, 0, 0]
+    terms = [0] + [C**t for t in range(9)]
+    assert hankel_minors(terms, 5) == [1, 0, -1, 0, 0, 0]
+    assert hankel_minors(terms, 5) == symmetric_minors_generic(
+        [terms[i : i + 5] for i in range(5)]
+    )
+
+
+def test_exact_div_over_zc():
+    def div(num, den):
+        return hankel._exact_div(list(num), hankel._terms(den))
+
+    assert div([-1, 0, 1], [-1, 1]) == [1, 1]  # (c^2 - 1) / (c - 1)
+    assert div([0, 0, 6], [0, 2]) == [0, 3]
+    assert div([0, 0, 0], [5, 7]) == []
+    with pytest.raises(NotDivisibleError, match="remainder"):
+        div([1, 0, 1], [1, 1])  # c^2 + 1 = (c - 1)(c + 1) + 2
+    with pytest.raises(NotDivisibleError, match="remainder"):
+        div([3], [0, 1])  # degree below the divisor's
+    with pytest.raises(NotDivisibleError, match="leading coefficient"):
+        div([0, 3], [0, 2])
+    with pytest.raises(NotDivisibleError, match="leading coefficient"):
+        div([2, 0, 3], [1, 2])
+
+
+@given(SMALL_POLY, SMALL_POLY.filter(bool))
+def test_exact_div_inverts_a_product(a, b):
+    assert hankel._exact_div(list((a * b).coeffs), hankel._terms(list(b.coeffs))) == list(
+        a.coeffs
+    )
+
+
+def _fault(kind):
+    # the real division, after spoiling a numerator whose divisor is not 1
+    real = hankel._exact_div
+
+    def spoiled(num, den):
+        if den != [(0, 1)]:
+            num[0 if kind == "remainder" else -1] += 1
+        return real(num, den)
+
+    return spoiled
+
+
+@pytest.mark.parametrize("kind", ["remainder", "leading coefficient"])
+def test_zc_elimination_checks_every_quotient(monkeypatch, kind):
+    # step 1 divides by the pivot 2c: as a plain step, and as a pair step
+    # (pivot (1, 1) is 0 after step 0) whose next pivot divides by 2c
+    for rows in (
+        [[2 * C, 1, 1], [1, 2 * C, 1], [1, 1, 2 * C]],
+        [[2 * C, 2 * C, 1], [2 * C, 2 * C, 3], [1, 3, 2 * C]],
+    ):
+        blocks = [[row[:s] for row in rows[:s]] for s in range(4)]
+        assert minors(rows) == [det_cofactor(block) for block in blocks]
+        with monkeypatch.context() as patch:
+            patch.setattr(hankel, "_exact_div", _fault(kind))
+            with pytest.raises(InternalDivisionError, match="elimination step 1") as info:
+                minors(rows)
+            assert kind in str(info.value.__cause__)
+            with pytest.raises(InternalDivisionError, match="elimination step 1"):
+                det_fraction_free(rows)
+
+
+def test_zc_elimination_builds_no_polynomial_per_entry(monkeypatch):
+    # a Hankel matrix over Z[c] with a pair step: only the minors are
+    # Polynomials, and no Polynomial operator runs
+    w = parse_weight_spec("shift^2:explicit:1,c,0,c,-1,2,c;tail=c")
+    terms = [row[1] if len(row) > 1 else 0 for row in admissible_table(w, 2 * 7)]
+    expected = symmetric_minors_generic([terms[i : i + 8] for i in range(8)])
+    calls = []
+    pair_step = hankel._pair_step_zc
+    monkeypatch.setattr(
+        hankel, "_pair_step_zc", lambda *args: calls.append("pair") or pair_step(*args)
+    )
+    for name in ("__mul__", "__rmul__", "__sub__", "__rsub__", "__divmod__", "__rdivmod__"):
+        real = getattr(Polynomial, name)
+
+        def counting(self, other, real=real, name=name):
+            calls.append(name)
+            return real(self, other)
+
+        monkeypatch.setattr(Polynomial, name, counting)
+    assert hankel_minors(terms, 8) == expected
+    assert calls == ["pair"]  # at step 0: term 0 is 0
 
 
 HANKEL_WEIGHTS = st.one_of(

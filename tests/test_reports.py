@@ -1,4 +1,4 @@
-"""Pinned outputs of `verify all` and of the two scripts."""
+"""Pinned outputs of `verify all`, of symbolic `series` and `det`, and of the two scripts."""
 
 import hashlib
 import json
@@ -46,6 +46,28 @@ def test_symbolic_series_identities_are_pinned(capsys):
     code = main(argv.split())
     out = capsys.readouterr().out
     digest = "406891b4086c6cba9fcaa9ceb76a3cafe80bb5340c3525f3120a1bab2ad91eca"
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
+# symbolic determinants: D(1, 0, 26) for const:c, and D(0, 1, 24) for
+# weights whose first column term is 0, so the elimination starts with a pair
+# step over Z[c]
+_DET_ZC = [
+    (
+        "det --weights const:c --m 1 --k 0 --n 26 --format json",
+        "e456323945da91130eddca432332e547bde7121e469d6cb8ca4a3bff4cdaea55",
+    ),
+    (
+        "det --weights shift^2:explicit:1,c,0,c,-1,2,c;tail=c --m 0 --k 1 --n 24 --format json",
+        "9ab0e9b2f51b42ae6b5b2dc8da982aac5b0b9e9f88f7a0aa9d52017cca85b402",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _DET_ZC, ids=["const-c", "pair-step"])
+def test_symbolic_det_output_is_pinned(capsys, argv, digest):
+    code = main(argv.split())
+    out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
