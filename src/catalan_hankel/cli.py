@@ -35,7 +35,7 @@ SERIES_MAX_ORDER = 10000
 #: slowest shape timed, order 523 at k 100: 10 s.
 SERIES_MAX_SYMBOLIC_WORK = 16 * 1400**3
 #: Largest `seq --n` (const:1: 0.6 s, 20 MB), `table --n-max` (const:1 as
-#: json: 2 s, 0.35 GB) and `det --n` (const:3: 1.9 s) accepted; `det` is
+#: json: 2 s, 0.35 GB) and `det --n` (const:3: 2.0-2.4 s) accepted; `det` is
 #: also held to TABLE_MAX_N for the triangle depth 2(n-1)+m it reads.
 SEQ_MAX_N, TABLE_MAX_N, DET_MAX_N = 2000, 1000, 300
 #: Weights holding c admit a fifth of each of those: entries are then
@@ -47,7 +47,7 @@ SYMBOLIC_SHARE = 5
 #: ceiling**3: entries grow by about b + 1 bits a row, and printing one in
 #: decimal costs about its length squared / 250 on top of building it.  The
 #: value at b = 2 keeps the ceilings for weights up to 3 in size.  At the
-#: edge: `det const:1000000 --n 153` 1.3 s, `seq const:10^1000 --n 79` 4 s,
+#: edge: `det const:1000000 --n 153` 1.4-1.5 s, `seq const:10^1000 --n 79` 4 s,
 #: `table --n-max 182` of 248-bit weights (the slowest shape) 10 s.
 WEIGHT_BITS_WORK = 3 * 252
 #: The range of each verify bound flag, by argparse dest, checked for every
@@ -56,16 +56,16 @@ WEIGHT_BITS_WORK = 3 * 252
 #: claim's default: --c for the claims that take it, and theorem1's
 #: --weights at the heights 0..2 n_max + m_max it reads.  One flag at its
 #: ceiling, the others at their defaults, c = 1, the slowest claim takes:
-#: --n-max 100 42 s (lemma13, at the order 207 it then needs; theorem1
-#: 10 s), --k-max 100 2.9 s (theorem2), --m-max 50 3.5 s (lemma13),
-#: --trials 10000 2.2 s (theorem1), --order 500 1.0 s (lemma13); with
+#: --n-max 100 83-88 s (lemma13, at the order 207 it then needs; theorem1
+#: 18 s), --k-max 100 2.7-3.4 s (theorem2), --m-max 50 4.2-4.4 s (lemma13),
+#: --trials 10000 3.5-4.2 s (theorem1), --order 500 1.9-2.3 s (lemma13); with
 #: --c sym, --order 100 2.3 s (series_identities) and --n-max 20 1.9 s
 #: (theorem2); theorem1 --weights const:c --n-max 20 0.5 s.  The largest
 #: symbolic product of flags admitted, series_identities --c sym --k-max 20
 #: --order 100, takes 8.0 s (subprocess wall time, 2-core VM).  At the edges
-#: of the weight-bit rule verify takes at most 1.8 s for c = 10**6
-#: (theorem2 --n-max 51) and 0.6 s for c = 10**200; without the lowering,
-#: theorem2 --c 10**6 --n-max 100 takes 40 s; at c = 10**200, and theorem1
+#: of the weight-bit rule theorem2 takes 3.4-4.2 s for c = 10**6 (--n-max 51)
+#: and 0.7 s for c = 10**200 (--n-max 10); without the lowering,
+#: theorem2 --c 10**6 --n-max 100 takes 93-100 s; at c = 10**200, and theorem1
 #: with --weights const:c or const:10**1000 (1 GB), --n-max 100 did not
 #: finish in 300 s with whole-row elimination, about half as fast.
 VERIFY_RANGES = {
@@ -81,10 +81,12 @@ VERIFY_RANGES = {
 #: about sum((n_max + M + 2)**4 for M <= m_max), the eliminations of each
 #: shift M, plus 50 order**2 for lemma13's reciprocal series, at about
 #: 2e-9 s a unit (fitted to single trials, c = 1, 2-core VM).  The slowest
-#: run admitted is lemma13 --n-max 100 (order 207): 0.9 s a trial, 96 s in
-#: all.  Refused, for instance: theorem1 --trials 10000 --n-max 100 (0.58 s
-#: a trial), theorem1 --m-max 50 --n-max 50 (4.4 s a trial), and lemma13
-#: --trials 10000 with --n-max 100 or with --order 500 (24 ms a trial).
+#: run admitted is lemma13 --n-max 100 (order 207): 0.83-0.88 s a trial,
+#: 83-88 s in all.  Refused, for instance: theorem1 --trials 10000 --n-max
+#: 100 (0.46 s a trial), theorem1 --m-max 50 --n-max 50 (3.0-3.4 s a
+#: trial), and lemma13 --trials 10000 with --n-max 100 or with --order 500
+#: (19-23 ms a trial).  Integer timings here are subprocess wall times, two
+#: runs each, on a 2-core VM.
 WORK_BOUND_CLAIMS = ("lemma13", "theorem1")
 
 _WITNESS_LINE_CAP = 50

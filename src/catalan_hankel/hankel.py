@@ -18,12 +18,15 @@ symmetric 2 x 2 block, so the symmetry, the minors' signs and the small
 pivots of a zero prefix all survive.
 Every intermediate stays in the coefficient ring, and every division must
 be exact.  Over the ints each entry is one builtin ``divmod`` inline, its
-remainder checked.  A matrix over Z[c] (``hankel_minors`` decides from its
-2n - 1 terms) is converted once to int coefficient lists, and the Z[c] step
-builds no Polynomial per entry: each numerator is one int list, then one
-exact long division by the previous pivot (or its square, in a pair step);
-only the minors are returned as Polynomials.  A nonzero remainder, or a
-leading coefficient that does not divide, raises InternalDivisionError.
+remainder checked, unless the previous pivot is 1 or -1: most of the
+paper's minors are, and such a step divides nothing, its sign folded into
+the multipliers once.  A matrix over Z[c] (``hankel_minors`` decides from
+its 2n - 1 terms) is converted once to int coefficient lists, and the
+Z[c] step builds no Polynomial per entry: each numerator is one int list,
+then one exact long division by the previous pivot (or its square, in a
+pair step); only the minors are returned as Polynomials.  A nonzero
+remainder, or a leading coefficient that does not divide, raises
+InternalDivisionError.
 """
 
 from __future__ import annotations
@@ -60,23 +63,32 @@ def _pair_step(rows, p: int, r: int, prev):
     becomes the bordered minor on rows 0..p+1, i and columns 0..p+1, j:
     Sylvester's identity makes it the 3 x 3 determinant of the block
     bordered by row i and column j, divided by prev squared, and the next
-    pivot is the block's determinant -x^2 divided by prev.
+    pivot is the block's determinant -x^2 divided by prev.  With u = (p, i)
+    and v = (p + 1, i) that minor is x u (p + 1, j) + (x v - y u) (p, j)
+    - x^2 (i, j): three multipliers per row.  When prev squared is 1 the
+    entries are not divided; the next pivot always is, its remainder
+    checked.
     """
     _exchange(rows, p, r)
     n = len(rows)
     a = p + 1
     top, ra = rows[p], rows[a]
     x, y = top[a], ra[a]
+    x2 = x * x
     square = prev * prev
     for i in range(a + 1, n):
         row = rows[i]
         u, v = top[i], ra[i]
-        for j in range(i, n):
-            minor = x * (u * ra[j] + v * top[j] - x * row[j]) - y * u * top[j]
-            row[j], rem = divmod(minor, square)
-            if rem:
-                raise NotDivisibleError(f"remainder {rem}")
-    pivot, rem = divmod(-x * x, prev)
+        xu, xv_yu = x * u, x * v - y * u
+        if square == 1:
+            for j in range(i, n):
+                row[j] = xu * ra[j] + xv_yu * top[j] - x2 * row[j]
+        else:
+            for j in range(i, n):
+                row[j], rem = divmod(xu * ra[j] + xv_yu * top[j] - x2 * row[j], square)
+                if rem:
+                    raise NotDivisibleError(f"remainder {rem}")
+    pivot, rem = divmod(-x2, prev)
     if rem:
         raise NotDivisibleError(f"remainder {rem}")
     return pivot
@@ -137,9 +149,7 @@ def _step_zc(rows, p: int, prev: list) -> None:
 
 
 def _pair_step_zc(rows, p: int, r: int, prev: list) -> list:
-    """``_pair_step`` over Z[c].  With u = (p, i) and v = (p + 1, i), the
-    bordered minor is x u (p + 1, j) + (x v - y u) (p, j) - x^2 (i, j), so
-    each row reads three multipliers."""
+    """``_pair_step`` over Z[c], in the same three-multiplier form."""
     _exchange(rows, p, r)
     n = len(rows)
     a = p + 1
@@ -186,6 +196,12 @@ def _minors(rows) -> list:
     entry (r, r) the pivot; down a Hankel matrix's zero prefix that is a term
     twice as deep, and the entries it brings grow hundreds of bits where the
     pair's stay small.)
+
+    Over the ints, dividing by a previous pivot of 1 or -1 is multiplying by
+    it, so such a step divides nothing: (i, j) becomes
+    (pivot prev) (i, j) - ((p, i) prev) (p, j), each product with prev taken
+    once per step or row.  Any other pivot divides every entry, its
+    remainder checked.
     """
     n = len(rows)
     zc = n > 0 and type(rows[0][0]) is list
@@ -212,6 +228,13 @@ def _minors(rows) -> list:
                 continue
             if zc:
                 _step_zc(rows, p, prev)
+            elif prev == 1 or prev == -1:
+                scaled = pivot * prev
+                for i in range(p + 1, n):
+                    row = rows[i]
+                    left = top[i] * prev
+                    for j in range(i, n):
+                        row[j] = scaled * row[j] - left * top[j]
             else:
                 for i in range(p + 1, n):
                     row = rows[i]

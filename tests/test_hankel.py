@@ -253,9 +253,9 @@ def test_leading_minors_pair_steps_exchange_a_far_row():
 
 
 def test_symmetric_elimination_updates_one_triangle(monkeypatch):
-    # Catalan numbers: every leading minor of their Hankel matrix is 1
+    # twice the Catalan numbers: the leading minors are 2^s, so every step
+    # after step 0 (which follows the empty minor 1) divides by a non-unit
     catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
-    rows = [catalan[i : i + 6] for i in range(6)]
     calls = []
 
     def counting(a, b):
@@ -263,13 +263,57 @@ def test_symmetric_elimination_updates_one_triangle(monkeypatch):
         return divmod(a, b)
 
     monkeypatch.setattr(hankel, "divmod", counting, raising=False)
+    assert hankel_minors([2 * t for t in catalan], 6) == [2**s for s in range(7)]
+    # step p divides the (5 - p)(6 - p) / 2 entries with j >= i by 2^p
+    assert calls == [2**p for p in range(1, 6) for _ in range((5 - p) * (6 - p) // 2)]
+    # every minor of the Catalan Hankel matrix is 1: no step divides
+    calls.clear()
     assert hankel_minors(catalan, 6) == [1] * 7
-    assert len(calls) == sum(m * (m + 1) // 2 for m in range(6))  # j >= i only
+    assert calls == []
+    rows = [catalan[i : i + 6] for i in range(6)]
     rows[5][0] += 1  # no longer symmetric: only the row-swap oracle takes it
     blocks = [[row[:s] for row in rows[:s]] for s in range(7)]
     assert leading_minors_row_swaps(rows) == [det_cofactor(block) for block in blocks]
     with pytest.raises(ValueError, match="symmetric"):
         det_fraction_free(rows)
+
+
+# -- unit pivots: the steps that divide by 1 or -1 ------------------------------
+
+UNIT_WEIGHTS = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8).map(
+    lambda p: Explicit(tuple(p), 0)
+)
+
+
+def _column_zero(w, sign, zeros, n):
+    """``zeros`` zeros, then sign times column 0 of the triangle of w, enough
+    terms for size n.  With no zeros every leading minor of their Hankel
+    matrix is sign^s (D(0, 0, s) = 1), so every step divides by 1 or -1."""
+    return [0] * zeros + [sign * row[0] for row in admissible_table(w, 2 * n)]
+
+
+@given(UNIT_WEIGHTS, st.sampled_from((1, -1)), st.integers(0, 14))
+def test_unit_pivot_minors_are_signs(w, sign, n):
+    terms = _column_zero(w, sign, 0, n)
+    expected = [sign**s for s in range(n + 1)]
+    assert hankel_minors(terms, n) == expected
+    rows = [terms[i : i + n] for i in range(n)]
+    assert symmetric_minors_generic(rows) == expected
+    if n <= 8:
+        blocks = [[row[:s] for row in rows[:s]] for s in range(n + 1)]
+        assert [det_cofactor(block) for block in blocks] == expected
+
+
+@given(UNIT_WEIGHTS, st.sampled_from((1, -1)), st.integers(1, 5), st.integers(0, 14))
+def test_unit_pivot_minors_behind_a_zero_prefix(w, sign, zeros, n):
+    # the zeros make pair steps, some of them at a previous pivot of 1 or -1
+    terms = _column_zero(w, sign, zeros, n)
+    rows = [terms[i : i + n] for i in range(n)]
+    expected = symmetric_minors_generic(rows)
+    assert hankel_minors(terms, n) == expected
+    if n <= 8:
+        blocks = [[row[:s] for row in rows[:s]] for s in range(n + 1)]
+        assert expected == [det_cofactor(block) for block in blocks]
 
 
 def test_leading_minors_anti_identity():

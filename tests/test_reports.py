@@ -1,4 +1,5 @@
-"""Pinned outputs of `verify all`, of symbolic `series` and `det`, and of the two scripts."""
+"""Pinned outputs of `verify all`, of integer claims at larger sizes, of
+symbolic `series` and `det`, and of the two scripts."""
 
 import hashlib
 import json
@@ -66,6 +67,37 @@ _DET_ZC = [
 
 @pytest.mark.parametrize("argv, digest", _DET_ZC, ids=["const-c", "pair-step"])
 def test_symbolic_det_output_is_pinned(capsys, argv, digest):
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
+# integer claims at `grid-int` sizes, beyond the CLI defaults: Hankel
+# matrices up to n = 30, zero pivots and pivots of 1 and -1
+_VERIFY_INT = [
+    (
+        "verify corollary6 --c 3 --k-max 6 --n-max 30 --format json",
+        "18ca7b9ab398da39a303eb9ae0c58305ee5372a9382234bf43fec5e37576bce5",
+    ),
+    (
+        "verify theorem2 --c -1 --m-max 4 --k-max 4 --n-max 10 --format json",
+        "6301c96ffabb447b5b37acdd85ac53131f435f3850c1d620001e8e7acd413088",
+    ),
+    (
+        "verify theorem1 --trials 100 --rng-seed 1 --format json",
+        "02ecdb223d4832074c8541aea83c5eee7b6eb85893a2e2d218fd6c544dab30a3",
+    ),
+    (
+        "verify lemma13 --trials 300 --rng-seed 1 --format json",
+        "22c2b1c57cf327af920068f991dc216bb2d6244412081fc3d34e190b262043ed",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", _VERIFY_INT, ids=["corollary6", "theorem2", "theorem1", "lemma13"]
+)
+def test_integer_verify_output_is_pinned(capsys, argv, digest):
     code = main(argv.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
