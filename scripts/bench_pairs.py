@@ -12,9 +12,13 @@ first, so slow drift of the machine's speed hits both sides alike.  Each
 side runs its own ``perfbench/``.
 
 For every end-to-end metric, the output file records each side's median
-and quartiles over the pairs and the number of pairs the change won (a tie
-wins for neither).  The file holds one entry per workload; running again
-with another workload adds or replaces only that workload's entry.
+and quartiles over the pairs, the number of pairs the change won (a tie
+wins for neither), and the median and quartiles of the ratio change /
+parent within each pair.  The machine's speed can drift between pairs by
+more than a gain, which widens each side's quartiles; the two runs of one
+pair are close in time, so the ratio cancels most of that drift.  The
+file holds one entry per workload; running again with another workload
+adds or replaces only that workload's entry.
 """
 
 from __future__ import annotations
@@ -64,7 +68,9 @@ def quartiles(values):
 
 
 def summarise(pairs, spec) -> dict:
-    """Per-metric medians, quartiles and pairs won by the change."""
+    """Per-metric medians and quartiles of each side and of the ratio
+    change / parent within each pair (pairs whose parent reads 0 are left
+    out of it), and the pairs won by the change."""
     out = {}
     for metric in spec:
         name = metric["name"]
@@ -80,6 +86,10 @@ def summarise(pairs, spec) -> dict:
         for side, values in sides.items():
             q1, q3 = quartiles(values)
             entry[side] = {"median": statistics.median(values), "q1": q1, "q3": q3}
+        ratios = [c / p for p, c in zip(sides["parent"], sides["change"]) if p]
+        if ratios:
+            q1, q3 = quartiles(ratios)
+            entry["ratio"] = {"median": statistics.median(ratios), "q1": q1, "q3": q3}
         entry["change_won"] = won
         out[name] = entry
     return out

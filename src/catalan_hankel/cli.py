@@ -59,10 +59,10 @@ WEIGHT_BITS_WORK = 3 * 252
 #: --n-max 100 83-88 s (lemma13, at the order 207 it then needs; theorem1
 #: 18 s), --k-max 100 2.7-3.4 s (theorem2), --m-max 50 4.2-4.4 s (lemma13),
 #: --trials 10000 3.5-4.2 s (theorem1), --order 500 1.9-2.3 s (lemma13); with
-#: --c sym, --order 100 2.3 s (series_identities) and --n-max 20 1.9 s
+#: --c sym, --order 100 0.6-0.8 s (series_identities) and --n-max 20 1.9 s
 #: (theorem2); theorem1 --weights const:c --n-max 20 0.5 s.  The largest
 #: symbolic product of flags admitted, series_identities --c sym --k-max 20
-#: --order 100, takes 8.0 s (subprocess wall time, 2-core VM).  At the edges
+#: --order 100, takes 2.8-3.2 s (subprocess wall time, 2-core VM).  At the edges
 #: of the weight-bit rule theorem2 takes 3.4-4.2 s for c = 10**6 (--n-max 51)
 #: and 0.7 s for c = 10**200 (--n-max 10); without the lowering,
 #: theorem2 --c 10**6 --n-max 100 takes 93-100 s; at c = 10**200, and theorem1

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from .ring import NotDivisibleError, Polynomial, RingElement, _long_division, _poly_from_list
 from .sequences import WeightSpec, columns
-from .series import _convolve
 
 
 class InternalDivisionError(RuntimeError):
@@ -100,7 +99,7 @@ def _pair_step(rows, p: int, r: int, prev):
 # coefficients in c, lowest first, [] for zero; an entry is replaced, never
 # changed in place.  Every factor is read as its nonzero (degree, value)
 # terms, a multiplier once per step or row, so zero coefficients cost
-# nothing.  Each new entry's numerator is one int list (``series._convolve``)
+# nothing.  Each new entry's numerator is one int list (``_convolve``)
 # and one exact long division by prev (or prev squared) makes it the entry.
 
 
@@ -117,6 +116,19 @@ def _terms(cs: list, scale: int = 1) -> list:
 def _degree(terms: list) -> int:
     """The degree of the element given by its terms; -1 for zero."""
     return terms[-1][0] if terms else -1
+
+
+def _convolve(width: int, left, right) -> list:
+    """The width int coefficients of the sum of left[i] * right[i], each
+    factor given as its terms; width exceeds every degree sum of a nonzero
+    pair (a width below 1 holds none)."""
+    acc = [0] * width
+    for ls, rs in zip(left, right):
+        if ls and rs:
+            for dl, xl in ls:
+                for dr, xr in rs:
+                    acc[dl + dr] += xl * xr
+    return acc
 
 
 def _exact_div(num: list, den: list) -> list:

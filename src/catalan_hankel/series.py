@@ -5,14 +5,15 @@ modulo x**order; combining series of different orders truncates to the
 shorter one.  Coefficients are ring elements (ints or Polynomials in c) and
 a series is kept homogeneous: one Polynomial coefficient coerces the rest.
 
-Products and reciprocals build each output coefficient as one sum of
-products.  Over the ints that is one builtin ``sum(map(mul, ...))`` per
-coefficient, across the nonzero span of the operand whose span is shorter
-(a monomial costs one product a coefficient).  Over Z[c] each operand's
-coefficients are read once per call as lists of their nonzero (degree,
-value) terms; coefficient n accumulates every term product of the pairs
-i + j = n in one int list, which becomes a single Polynomial, so no partial
-product is ever a Polynomial.
+Products and reciprocals have one kernel each, on ints: every output
+coefficient is one builtin ``sum(map(mul, ...))``, for a product across the
+nonzero span of the operand whose span is shorter (a monomial costs one
+product a coefficient).  Over Z[c] the same kernels run on the operands'
+values at c = 2**h (Kronecker substitution), and every output value is read
+back as balanced digits, with h from a norm majorant and halved when every
+coefficient holds only odd or only even powers of c in step with its index
+(see ``_kronecker``).  Nothing is divided while packed, so the division of
+``_motzkin_coeffs`` stays on ring elements.
 
 The generating function A(x) = sum a_n x^n of weighted Motzkin paths with
 constant level weight c satisfies A = 1 + c*x*A + x^2*A^2.  A is algebraic,
@@ -30,7 +31,9 @@ is never used (square roots leave the ring).
 
 from __future__ import annotations
 
-from operator import add, mul
+import functools
+from itertools import repeat
+from operator import and_, lshift, mul, rshift, sub
 
 from .ring import Polynomial, RingElement, _poly_from_list, as_poly, exact_div
 
@@ -123,7 +126,9 @@ class TruncatedSeries:
         t = min(self.order, other.order)
         a, b = self.coeffs[:t], other.coeffs[:t]
         if isinstance(a[0], Polynomial) or isinstance(b[0], Polynomial):
-            return TruncatedSeries(_mul_zc([_terms(v) for v in a], [_terms(v) for v in b]))
+            ca, cb = _coeffs(a), _coeffs(b)
+            majorant = _mul_int(_norms(ca), _norms(cb))
+            return TruncatedSeries(_kronecker(_mul_int, [ca, cb], majorant))
         return TruncatedSeries(_mul_int(a, b))
 
     __rmul__ = __mul__
@@ -151,13 +156,12 @@ class TruncatedSeries:
             raise NonUnitConstantTermError(
                 f"constant term {u0} is not a unit (need +1 or -1)"
             )
-        u = self.coeffs
         if isinstance(u0, Polynomial):
-            return TruncatedSeries(_reciprocal_zc([_terms(v, -inv0) for v in u], inv0))
-        out: list = [inv0]
-        for n in range(1, len(u)):
-            out.append(-inv0 * sum(map(mul, u[1 : n + 1], out[::-1])))
-        return TruncatedSeries(out)
+            cu = _coeffs(self.coeffs)
+            majorant = _reciprocal_int([-x for x in _norms(cu)], 1)
+            kernel = functools.partial(_reciprocal_int, inv0=inv0)
+            return TruncatedSeries(_kronecker(kernel, [cu], majorant))
+        return TruncatedSeries(_reciprocal_int(self.coeffs, inv0))
 
     # -- comparison / rendering --------------------------------------------
 
@@ -207,60 +211,87 @@ def _mul_int(a: tuple, b: tuple) -> list:
     return ([0] * shift + conv + [0] * t)[:t]
 
 
-# -- Z[c] kernels -------------------------------------------------------------
-#
-# A coefficient in Z[c] is read as the list of (degree, value) pairs of its
-# nonzero terms, once per call, so zero coefficients and zero terms cost
-# nothing and no Polynomial is built for a partial product.  Coefficient n of
-# a product is one int list holding the sum over i + j = n of every term
-# product, wrapped as one Polynomial at the end.
-
-
-def _terms(v: RingElement, scale: int = 1) -> list:
-    """The nonzero terms of scale * v as (degree, value) pairs."""
-    cs = v.coeffs if isinstance(v, Polynomial) else (v,)
-    return [(d, scale * x) for d, x in enumerate(cs) if x]
-
-
-def _degrees(terms: list) -> list:
-    """Degree of each ring element given by its terms; -1 for zero."""
-    return [ts[-1][0] if ts else -1 for ts in terms]
-
-
-def _convolve(width: int, left, right) -> list:
-    """The width int coefficients of the sum of left[i] * right[i]; width
-    exceeds every degree sum of a nonzero pair (a width below 1 holds none)."""
-    acc = [0] * width
-    for ls, rs in zip(left, right):
-        if ls and rs:
-            for dl, xl in ls:
-                for dr, xr in rs:
-                    acc[dl + dr] += xl * xr
-    return acc
-
-
-def _mul_zc(ta: list, tb: list) -> list:
-    """Coefficients of the product of two series given as term lists."""
-    da, db = _degrees(ta), _degrees(tb)
-    out = []
-    for n in range(len(ta)):
-        width = max(map(add, da[: n + 1], db[n::-1])) + 1
-        out.append(_poly_from_list(_convolve(width, ta[: n + 1], tb[n::-1])))
+def _reciprocal_int(u, inv0: int) -> list:
+    """Coefficients of 1/u for an int series u whose constant term is the
+    unit 1/inv0: v_0 = inv0, v_n = -inv0 * sum_{j=1..n} u_j v_{n-j}.  u_0
+    itself is never read."""
+    out: list = [inv0]
+    for n in range(1, len(u)):
+        out.append(-inv0 * sum(map(mul, u[1 : n + 1], out[::-1])))
     return out
 
 
-def _reciprocal_zc(neg: list, inv0: int) -> list:
-    """Coefficients of 1/u given neg = -inv0 * u as term lists and the unit
-    inv0 = 1/u_0: v_n = sum_{j=1..n} neg_j v_{n-j}."""
-    du = _degrees(neg)
-    out = [as_poly(inv0)]
-    done, dv = [[(0, inv0)]], [0]  # terms and degree of each of out
-    for n in range(1, len(neg)):
-        width = max(map(add, du[1 : n + 1], dv[::-1])) + 1
-        v = _poly_from_list(_convolve(width, neg[1 : n + 1], done[::-1]))
-        out.append(v)
-        done.append(_terms(v))
-        dv.append(len(v.coeffs) - 1)
+# -- Z[c] by Kronecker substitution ---------------------------------------------
+#
+# Putting c = 2**h maps Z[c] into Z and respects + and *, so a product or a
+# reciprocal over Z[c] is the int kernel run on its operands' values at
+# c = 2**h, and each output coefficient is read back from its value as
+# balanced base 2**h digits.  That is exact when every coefficient is below
+# 2**(h - 1) in size, so h >= B, B one bit past a majorant: the norm of an
+# element (the sum of its coefficients' sizes) is at most the sum or product
+# of the norms of its parts, so the int product of the operands' norm
+# series, or 1 / (1 - sum_{j>=1} |u_j| x^j) for a reciprocal, bounds every
+# output coefficient's norm.  Parity in c halves h.  When every term c^d of
+# coefficient n of each operand has d = n + s (mod 2), one s per operand
+# (A^e, 1/A^e, x A^e, 1 - c x), every term of output coefficient n has
+# d = n + s_a + s_b: it is c^r q(c^2) with r = (n + s_a + s_b) mod 2, its value
+# is 2**(h r) q(2**(2h)), and the digits of q in base 2**(2h) need only
+# 2h >= B.
+
+
+def _coeffs(series) -> list:
+    """The coefficient tuple in c of each ring element of series."""
+    return [v.coeffs if isinstance(v, Polynomial) else (v,) for v in series]
+
+
+def _norms(cs: list) -> tuple:
+    """The sum of the sizes of each element's coefficients."""
+    return tuple(sum(map(abs, v)) for v in cs)
+
+
+def _parity(cs: list):
+    """The s in (0, 1) such that every nonzero term c^d of cs[n] has
+    d = n + s (mod 2), 0 if both do; None if neither does."""
+    for s in (0, 1):
+        if not any(any(v[(n + s + 1) % 2 :: 2]) for n, v in enumerate(cs)):
+            return s
+    return None
+
+
+def _kronecker(kernel, operands: list, majorant) -> list:
+    """kernel(*operands) over Z[c], as Polynomials: kernel computes on int
+    series with + and * alone, and runs on each operand (a list of
+    coefficient tuples) at c = 2**h.  No output coefficient is larger than
+    max(majorant); if every operand has a parity s (see _parity), the
+    outputs have the sum of them."""
+    parities = [_parity(cs) for cs in operands]
+    parity = None if None in parities else sum(parities)
+    bits = max(majorant).bit_length() + 1
+    stride = 1 if parity is None else 2
+    h = -(-bits // stride)
+    width = stride * h
+    values = kernel(
+        *(tuple(sum(map(lshift, v, range(0, h * len(v), h))) for v in cs) for cs in operands)
+    )
+    # adding `halves`, every digit 2**(width - 1), turns the balanced digits
+    # into plain ones, read without carries; value needs at most
+    # value.bit_length() // width + 2 digits
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    top = max(map(int.bit_length, values)) // width + 2
+    halves = ((1 << width * top) - 1) // mask * half
+    out = []
+    for n, value in enumerate(values):
+        offset = 0 if parity is None else (n + parity) % 2
+        value >>= h * offset
+        count = value.bit_length() // width + 2
+        biased = value + (halves >> width * (top - count))
+        cs = [0] * (offset + stride * count)
+        cs[offset::stride] = map(
+            sub,
+            map(and_, map(rshift, repeat(biased), range(0, width * count, width)), repeat(mask)),
+            repeat(half),
+        )
+        out.append(_poly_from_list(cs))
     return out
 
 

@@ -440,6 +440,11 @@ def series_min_order(k_max: int) -> int:
     return 2 * k_max + 4
 
 
+def _shift(series: TruncatedSeries, power: int) -> TruncatedSeries:
+    """x**power * series, truncated: its coefficients moved up by power."""
+    return TruncatedSeries(((0,) * power + series.coeffs)[: series.order])
+
+
 def check_series_identities(
     cval: RingElement, k_max: int, order: int
 ) -> CheckReport:
@@ -455,7 +460,7 @@ def check_series_identities(
     while len(powers) <= max(k_max + 1, 2):
         powers.append(powers[-1] * a)
     for k in range(k_max + 1):
-        shifted = TruncatedSeries.monomial(k, order) * powers[k + 1]
+        shifted = _shift(powers[k + 1], k)
         for n in range(order):
             run.check(
                 {"clause": "coefficient-bridge", "k": k, "n": n},
@@ -463,7 +468,7 @@ def check_series_identities(
                 cols[k][n],
             )
     residual = (
-        TruncatedSeries.monomial(2, order) * powers[2]
+        _shift(powers[2], 2)
         + (TruncatedSeries.monomial(1, order, coeff=cval) - TruncatedSeries.one(order)) * a
         + TruncatedSeries.one(order)
     )
@@ -471,7 +476,7 @@ def check_series_identities(
         run.check({"clause": "quadratic-residual", "n": n}, residual[n], 0)
     for k in range(k_max + 1):
         power = powers[k + 1]
-        lhs = power.reciprocal() + TruncatedSeries.monomial(2 * k + 2, order) * power
+        lhs = power.reciprocal() + _shift(power, 2 * k + 2)
         rhs = lucas_bivariate_at(k + 1, cval, order)
         for n in range(order):
             run.check(

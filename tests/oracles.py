@@ -326,6 +326,54 @@ def series_reciprocal_loops(u: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(_over_zc(_reciprocal, (majorant,), list(u.coeffs)))
 
 
+def _terms(v: RingElement, scale: int = 1) -> list:
+    """The nonzero terms of scale * v as (degree, value) pairs."""
+    cs = v.coeffs if isinstance(v, Polynomial) else (v,)
+    return [(d, scale * x) for d, x in enumerate(cs) if x]
+
+
+def _sum_of_term_products(pairs) -> Polynomial:
+    """The sum of ls * rs over the pairs (ls, rs) of term lists, every term
+    product added into one int list."""
+    acc: list = []
+    for ls, rs in pairs:
+        for dl, xl in ls:
+            for dr, xr in rs:
+                if dl + dr >= len(acc):
+                    acc += [0] * (dl + dr + 1 - len(acc))
+                acc[dl + dr] += xl * xr
+    return Polynomial(acc)
+
+
+def series_mul_terms(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """a * b over Z[c] modulo x**min(orders), with no Kronecker packing:
+    coefficient n sums every product of a nonzero term of a_i with one of
+    b_{n-i}.  The oracle for ``TruncatedSeries.__mul__`` on operands holding
+    Polynomials; its coefficients are always Polynomials."""
+    t = min(a.order, b.order)
+    ta = [_terms(v) for v in a.coeffs[:t]]
+    tb = [_terms(v) for v in b.coeffs[:t]]
+    return TruncatedSeries([_sum_of_term_products(zip(ta[: n + 1], tb[n::-1])) for n in range(t)])
+
+
+def series_reciprocal_terms(u: TruncatedSeries) -> TruncatedSeries:
+    """1 / u over Z[c] modulo x**order, with no Kronecker packing:
+    v_n = -u_0 sum_{j=1..n} u_j v_{n-j}, each coefficient summed term by
+    term.  The oracle for ``TruncatedSeries.reciprocal`` on a series of
+    Polynomials; the constant term must be +1 or -1."""
+    u0 = u.coeffs[0]
+    if u0 not in (1, -1):
+        raise ValueError(f"constant term {u0} is not a unit (need +1 or -1)")
+    inv0 = 1 if u0 == 1 else -1
+    neg = [_terms(v, -inv0) for v in u.coeffs]
+    out = [Polynomial((inv0,))]
+    done = [_terms(inv0)]
+    for n in range(1, u.order):
+        out.append(_sum_of_term_products(zip(neg[1 : n + 1], done[::-1])))
+        done.append(_terms(out[-1]))
+    return TruncatedSeries(out)
+
+
 def _quadratic(cval: RingElement, order: int) -> list:
     coeffs: list = [1]
     for n in range(1, order):

@@ -68,3 +68,24 @@ def test_medians_and_quartiles(bench_pairs):
     entry = bench_pairs.summarise(pairs_of(parent[:4], change[:4], "wall_s"), SPEC[:1])["wall_s"]
     assert entry["parent"]["median"] == 3.0
     assert entry["change"]["median"] == pytest.approx(0.25)
+
+
+def test_ratio_within_pairs_holds_while_the_parent_drifts(bench_pairs):
+    # the machine slows pair by pair and the change is 0.6 of the parent in
+    # every pair, yet the medians differ by less than the parent's spread
+    parent = [1.0, 1.5, 2.0, 2.5, 3.0]
+    change = [0.6 * p for p in parent]
+    entry = bench_pairs.summarise(pairs_of(parent, change, "wall_s"), SPEC[:1])["wall_s"]
+    assert entry["parent"] == {"median": 2.0, "q1": 1.25, "q3": 2.75}
+    assert entry["change"]["median"] == pytest.approx(1.2)
+    spread = entry["parent"]["q3"] - entry["parent"]["q1"]
+    assert entry["parent"]["median"] - entry["change"]["median"] < spread
+    assert entry["ratio"] == pytest.approx({"median": 0.6, "q1": 0.6, "q3": 0.6})
+    assert entry["change_won"] == 5
+
+
+def test_ratio_quartiles_and_a_parent_of_zero(bench_pairs):
+    parent = [2.0, 0.0, 4.0, 1.0, 5.0]
+    change = [1.0, 1.0, 4.0, 2.0, 1.0]  # ratios 0.5, 1.0, 2.0, 0.2; the 0 is left out
+    entry = bench_pairs.summarise(pairs_of(parent, change, "wall_s"), SPEC[:1])["wall_s"]
+    assert entry["ratio"] == pytest.approx({"median": 0.75, "q1": 0.275, "q3": 1.75})

@@ -50,6 +50,15 @@ def test_symbolic_series_identities_are_pinned(capsys):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
+def test_symbolic_series_identities_at_k_max_6_are_pinned(capsys):
+    # recorded with the term-list Z[c] kernels, before Kronecker packing
+    argv = "verify series_identities --c sym --k-max 6 --order 60 --format json"
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    digest = "efe76c6edde3e57fb1f834d36a20d9826dd6e0f0505b1ea02ba2db212fefd18d"
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
 # symbolic determinants: D(1, 0, 26) for const:c, and D(0, 1, 24) for
 # weights whose first column term is 0, so the elimination starts with a pair
 # step over Z[c]

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 
 import pytest
@@ -15,8 +16,10 @@ from catalan_hankel.series import (
 from oracles import (
     motzkin_series_quadratic,
     series_mul_loops,
+    series_mul_terms,
     series_pow_loops,
     series_reciprocal_loops,
+    series_reciprocal_terms,
 )
 
 unit_series = st.lists(st.integers(-4, 4), min_size=3, max_size=12).map(
@@ -289,11 +292,18 @@ def test_motzkin_products_match_loop_oracle(cval, exponent, order):
 
 
 def test_kernels_at_orders_one_and_two():
-    for u in ((1,), (-1,), (1, 3), (-1, C), (Polynomial((-1,)), Polynomial())):
+    for u in (
+        (1,), (-1,), (1, 3), (-1, C), (Polynomial((-1,)), Polynomial()), (1, -C), (-1, C * C - 1)
+    ):
         s = TruncatedSeries(u)
         symbolic = is_symbolic(s)
         assert_same_series(s * s, series_mul_loops(s, s), symbolic)
         assert_same_series(s.reciprocal(), series_reciprocal_loops(s), symbolic)
+        others = (TruncatedSeries([2 * C + 1, C][: s.order]), TruncatedSeries([C, 1][: s.order]))
+        for x in (s,) + others:
+            assert_same_series(x * s, series_mul_terms(x, s), is_symbolic(x, s))
+        if symbolic:
+            assert_same_series(s.reciprocal(), series_reciprocal_terms(s), True)
 
 
 def test_sparse_int_products_match_loop_oracle():
@@ -319,6 +329,113 @@ def test_zero_symbolic_products_stay_polynomial():
     assert_same_series(ones * zero, TruncatedSeries([0] * 4), True)
     unit = TruncatedSeries([Polynomial((-1,)), Polynomial(), Polynomial()])
     assert_same_series(unit.reciprocal(), TruncatedSeries([-1, 0, 0]), True)
+
+
+# -- Z[c] kernels vs the term-list oracles ---------------------------------------
+#
+# Over Z[c] the kernels put c = 2**h and read the results back as digits, h
+# from a norm majorant, halved when every coefficient n of an operand holds
+# only powers c^d with d = n + s (mod 2).  The term-list oracles pack
+# nothing.  Coefficient values come in three kinds: small and zero-heavy,
+# nonnegative (no cancellation, so coefficients reach the majorant's
+# size), and large with large negatives.
+
+value_kinds = st.sampled_from(
+    [small_ints, st.integers(0, 9), st.integers(-(2**70), -(2**60)) | st.integers(-9, 2**8)]
+)
+
+
+def spread(q, r):
+    """c^r q(c^2) for the coefficient list q."""
+    cs = [0] * (r + 2 * len(q))
+    cs[r::2] = q
+    return Polynomial(cs)
+
+
+def parity_series(s, values):
+    """Series over Z[c] whose coefficient n holds only c^d with d = n + s mod 2."""
+    halves = st.lists(st.lists(values, max_size=3), min_size=1, max_size=10)
+    return halves.map(
+        lambda hs: TruncatedSeries([spread(q, (n + s) % 2) for n, q in enumerate(hs)])
+    )
+
+
+def zc_series(values):
+    mixed = st.lists(st.lists(values, max_size=5).map(Polynomial), min_size=1, max_size=10)
+    return parity_series(0, values) | parity_series(1, values) | mixed.map(TruncatedSeries)
+
+
+zc_operands = value_kinds.flatmap(zc_series)
+int_operands = value_kinds.flatmap(lambda v: st.lists(v, min_size=1, max_size=10)).map(
+    TruncatedSeries
+)
+
+
+@given(zc_operands, zc_operands | int_operands)
+def test_zc_mul_matches_term_oracle(a, b):
+    assert_same_series(a * b, series_mul_terms(a, b), True)
+    assert_same_series(b * a, series_mul_terms(b, a), True)
+
+
+@given(units, zc_operands)
+def test_zc_reciprocal_matches_term_oracle(u0, tail):
+    # behind u0, a tail with s = 1 gives a series with s = 0, and one with
+    # s = 0 a series with no parity
+    u = TruncatedSeries([u0] + list(tail.coeffs))
+    assert_same_series(u.reciprocal(), series_reciprocal_terms(u), True)
+
+
+@given(st.lists(st.integers(0, 2**20), min_size=1, max_size=10), st.booleans())
+def test_zc_kernels_where_the_majorant_is_attained(ks, parity):
+    # coefficient n is k_n c^n (parity) or the constant k_n: with no
+    # cancellation each output coefficient is one term as large as its
+    # norm, and the largest is the majorant itself
+    a = TruncatedSeries([Polynomial([0] * n * parity + [k]) for n, k in enumerate(ks)])
+    assert_same_series(a * a, series_mul_terms(a, a), True)
+    u = TruncatedSeries([Polynomial((1,))] + [-v for v in a.coeffs[1:]])
+    assert_same_series(u.reciprocal(), series_reciprocal_terms(u), True)
+
+
+def test_zc_kernels_on_the_series_the_identities_build():
+    # A^e and 1 - c x (s = 0), x A^2 (s = 1), A with c -> c + 1 and 1 - x A^2
+    # (no parity), and a monomial in x
+    order = 30
+    a = motzkin_series(C, order)
+    xa2 = TruncatedSeries.monomial(1, order) * (a * a)
+    shifted = motzkin_series(C + 1, order)
+    line = 1 - TruncatedSeries.monomial(1, order, coeff=C)
+    for x in (a, xa2, shifted, line, 1 - xa2, TruncatedSeries.monomial(order - 1, order)):
+        for y in (a, xa2, shifted):
+            assert_same_series(x * y, series_mul_terms(x, y), True)
+    for u in (a, a * a, shifted, line, 1 - xa2):
+        assert_same_series(u.reciprocal(), series_reciprocal_terms(u), True)
+
+
+# SHA-256 of the rendered coefficients at order 60, one per line, recorded
+# with the term-list kernels: parity s = 0 (A^3 A, 1/A^5), s = 1 (x A^2) and
+# none (A with c -> c + 1)
+_PINNED_ZC_SERIES = {
+    "A^3*A": "df74003523e3090a52d9c38415c101e74f92234f42495d7cc1b7fc67d0515e0c",
+    "1/A^5": "7676fbf83e6a65467c0e8deccbe0652af3444ac8b4a6fafc26eae53e3b53bb16",
+    "x*A^2": "fd85c7a0a16a73bedddde7a8bd224d512d131f4a513f913bc146fce1b7c7b893",
+    "shifted*shifted": "38352db8b6776931ee44f9230bdead11a9b82c0a05fdf242bf2e404c148fea23",
+    "1/shifted": "80d76ae4391053ea13a01ff9f65261bcbe5fc1c2fe12d898e533e2620d8858d4",
+}
+
+
+@pytest.mark.parametrize("name", _PINNED_ZC_SERIES)
+def test_zc_series_values_are_pinned(name):
+    order = 60
+    a, shifted = motzkin_series(C, order), motzkin_series(C + 1, order)
+    value = {
+        "A^3*A": lambda: motzkin_power(C, 3, order) * a,
+        "1/A^5": lambda: motzkin_power(C, 5, order).reciprocal(),
+        "x*A^2": lambda: TruncatedSeries.monomial(1, order) * motzkin_power(C, 2, order),
+        "shifted*shifted": lambda: shifted * shifted,
+        "1/shifted": shifted.reciprocal,
+    }[name]()
+    rendered = "\n".join(map(str, value.coeffs))
+    assert hashlib.sha256(rendered.encode()).hexdigest() == _PINNED_ZC_SERIES[name]
 
 
 # -- copy and pickle ------------------------------------------------------------

@@ -326,6 +326,13 @@ def test_series_identities_order_precondition():
         check_series_identities(1, 4, 10)
 
 
+@pytest.mark.parametrize("cval", [3, C])
+def test_series_identities_shift_as_a_monomial_multiplies(cval):
+    a = motzkin_series(cval, 9)
+    for power in range(11):
+        assert verify._shift(a, power) == TruncatedSeries.monomial(power, 9) * a
+
+
 def test_series_identities_build_powers_generically(monkeypatch):
     # the clauses cross-check the P-recursive kernel only while their powers
     # and reciprocals come from generic multiplication and .reciprocal()
@@ -365,9 +372,9 @@ def test_series_identities_refute_a_wrong_a(monkeypatch, k_max):
 
 @pytest.mark.parametrize("k_max", [0, 1, 3])
 def test_series_identities_square_a_once(monkeypatch, k_max):
-    # every other product has a factor with at most two nonzero terms (a
-    # monomial, 1 - c x, -x^2, or the constant 2 of the Lucas recurrence);
-    # full products are the powers A^2..A^max(k_max+1, 2), one each
+    # every other product has a factor with at most two nonzero terms (1 - c x,
+    # -x^2, or the constant 2 of the Lucas recurrence; the shifts by x^k are
+    # not products); full products are the powers A^2..A^max(k_max+1, 2), one each
     real_mul = TruncatedSeries.__mul__
     full = []
 
