@@ -4,8 +4,11 @@
         --pairs 10 --out BENCH_<tag>.json
 
 Run from the root of a git checkout.  The parent ref is exported with
-``git archive`` into a temporary directory.  Each pair runs
-``perfbench/run.py`` once on the parent and once on the checkout, with the
+``git archive`` into a temporary directory, and the checkout's working tree
+(tracked and untracked files, not the git-ignored ones such as
+``__pycache__/``) is copied next to it, so neither side starts from bytecode
+that an earlier run left behind.  Each pair runs ``perfbench/run.py`` once on
+the parent and once on the working-tree copy, with the
 same workload seed (FIRST_SEED plus the pair index) and the run length
 ``run_seconds`` of ``BENCHMARK.json``, and alternates which side goes
 first, so slow drift of the machine's speed hits both sides alike.  Each
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -49,6 +53,20 @@ def export(ref: str, dest: Path) -> str:
     with tarfile.open(archive) as tar:
         tar.extractall(tree)
     return commit
+
+
+def export_worktree(root: Path, dest: Path) -> None:
+    """Copy into dest every file of root's working tree that git does not
+    ignore: the tracked ones as they are now, and the untracked ones."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "-c", "-o", "--exclude-standard"],
+        cwd=root, capture_output=True, text=True, check=True,
+    ).stdout
+    for name in filter(None, listed.split("\0")):
+        source = root / name
+        if source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -110,13 +128,15 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         commit = export(args.parent, Path(tmp))
         parent = Path(tmp) / "tree"
+        change = Path(tmp) / "change"
+        export_worktree(ROOT, change)
         pairs = []
         for i in range(args.pairs):
             seed = FIRST_SEED + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                checkout = parent if side == "parent" else ROOT
+                checkout = parent if side == "parent" else change
                 pair[side] = run_once(checkout, args.workload, seed, seconds)
             pairs.append(pair)
             print(json.dumps({"pair": i, "seed": seed, **{

@@ -62,9 +62,9 @@ WEIGHT_BITS_WORK = 3 * 252
 #: --c sym, --order 100 0.6-0.8 s (series_identities) and --n-max 20 1.9 s
 #: (theorem2); theorem1 --weights const:c --n-max 20 0.5 s.  The largest
 #: symbolic product of flags admitted, series_identities --c sym --k-max 20
-#: --order 100, takes 2.8-3.2 s (subprocess wall time, 2-core VM).  At the edges
-#: of the weight-bit rule theorem2 takes 3.4-4.2 s for c = 10**6 (--n-max 51)
-#: and 0.7 s for c = 10**200 (--n-max 10); without the lowering,
+#: --order 100, takes 2.7-4.3 s (subprocess wall time, shared 2-core VM).
+#: At the edges of the weight-bit rule theorem2 takes 3.4-4.2 s for c = 10**6
+#: (--n-max 51) and 0.7 s for c = 10**200 (--n-max 10); without the lowering,
 #: theorem2 --c 10**6 --n-max 100 takes 93-100 s; at c = 10**200, and theorem1
 #: with --weights const:c or const:10**1000 (1 GB), --n-max 100 did not
 #: finish in 300 s with whole-row elimination, about half as fast.

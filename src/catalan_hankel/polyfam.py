@@ -57,10 +57,13 @@ def lucas_bivariate_at(n: int, cval: RingElement, order: int) -> TruncatedSeries
     """L_n evaluated at (1 - c*x, -x^2), as a series modulo x**order.
 
     The result is a polynomial in x of degree n (coefficients in the ring
-    of cval), so order >= n + 1 captures it exactly.
+    of cval), so the recurrence runs on series of order min(order, n + 1)
+    and zeros fill the rest.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
-    first = TruncatedSeries.monomial(1, order, coeff=-cval) + TruncatedSeries.one(order)
-    second = TruncatedSeries.monomial(2, order, coeff=-1)
-    return _two_arg_lucas(TruncatedSeries.constant(2, order), first, second, n)
+    t = min(order, n + 1)
+    first = TruncatedSeries.monomial(1, t, coeff=-cval) + TruncatedSeries.one(t)
+    second = TruncatedSeries.monomial(2, t, coeff=-1)
+    short = _two_arg_lucas(TruncatedSeries.constant(2, t), first, second, n)
+    return TruncatedSeries(short.coeffs + (0,) * (order - t))

@@ -6,11 +6,11 @@ shorter one.  Coefficients are ring elements (ints or Polynomials in c) and
 a series is kept homogeneous: one Polynomial coefficient coerces the rest.
 
 Products and reciprocals have one kernel each, on ints: every output
-coefficient is one builtin ``sum(map(mul, ...))``, for a product across the
-nonzero span of the operand whose span is shorter (a monomial costs one
-product a coefficient).  Over Z[c] the same kernels run on the operands'
-values at c = 2**h (Kronecker substitution), and every output value is read
-back as balanced digits, with h from a norm majorant and halved when every
+coefficient is one builtin ``sum(map(mul, ...))``, so a product of order t
+is a plain truncated convolution of t**2 / 2 multiplies, whatever its
+operands hold.  Over Z[c] the same kernels run on the operands' values at
+c = 2**h (Kronecker substitution), and every output value is read back as
+balanced digits, with h from a norm majorant and halved when every
 coefficient holds only odd or only even powers of c in step with its index
 (see ``_kronecker``).  Nothing is divided while packed, so the division of
 ``_motzkin_coeffs`` stays on ring elements.
@@ -64,6 +64,8 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, value: RingElement, order: int) -> "TruncatedSeries":
+        if order < 1:
+            raise ValueError("order must be >= 1")
         return cls((value,) + (0,) * (order - 1))
 
     @classmethod
@@ -73,6 +75,8 @@ class TruncatedSeries:
     @classmethod
     def monomial(cls, power: int, order: int, coeff: RingElement = 1) -> "TruncatedSeries":
         """coeff * x**power, truncated (the zero series if power >= order)."""
+        if power < 0:
+            raise ValueError("power must be >= 0")
         out = [0] * order
         if power < order:
             out[power] = coeff
@@ -179,36 +183,10 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
 
-def _span(xs) -> tuple:
-    """(lo, hi) such that xs[lo:hi] holds every nonzero entry; (0, 0) if none."""
-    nz = [i for i, v in enumerate(xs) if v]
-    return (nz[0], nz[-1] + 1) if nz else (0, 0)
-
-
 def _mul_int(a: tuple, b: tuple) -> list:
-    """Coefficients of the product of two int series of one order.
-
-    Each coefficient is one builtin sum over the nonzero span of the
-    operand whose span is shorter, so a monomial or a short polynomial in x
-    costs one short sum per coefficient and a dense product t**2 / 2
-    multiplies at builtin speed.
-    """
-    t = len(a)
-    (alo, ahi), (blo, bhi) = _span(a), _span(b)
-    if ahi - alo > bhi - blo:
-        a, b, alo, ahi, blo, bhi = b, a, blo, bhi, alo, ahi
-    short = a[alo:ahi]
-    # b's span reversed behind len(short) - 1 zeros: rev[top - n + i] is
-    # b[blo + n - i], or 0 where that leaves the span; the window for n < i
-    # runs off the end of rev, so map stops before those pairs
-    rev = (0,) * (len(short) - 1) + b[blo:bhi][::-1]
-    top = len(rev) - 1
-    shift = alo + blo
-    conv = [
-        sum(map(mul, short, rev[top - n : top - n + len(short)]))
-        for n in range(min(t - shift, len(rev)))
-    ]
-    return ([0] * shift + conv + [0] * t)[:t]
+    """Coefficients of the product of two int series of one order: each is
+    one builtin sum of the products a_i b_{n-i}."""
+    return [sum(map(mul, a[: n + 1], b[n::-1])) for n in range(len(a))]
 
 
 def _reciprocal_int(u, inv0: int) -> list:

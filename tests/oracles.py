@@ -397,6 +397,21 @@ def motzkin_series_quadratic(cval: RingElement, order: int) -> TruncatedSeries:
     return TruncatedSeries(_over_zc(_quadratic, (_norm(cval), order), cval, order))
 
 
+def lucas_bivariate_full_order(n: int, cval: RingElement, order: int) -> TruncatedSeries:
+    """L_n(1 - c*x, -x^2) modulo x**order by L_n = (1 - c*x) L_{n-1} -
+    x^2 L_{n-2} (L_0 = 2, L_1 = 1 - c*x), every product a full-order
+    ``series_mul_loops``: the oracle for ``polyfam.lucas_bivariate_at``,
+    which runs the recurrence at order min(order, n + 1)."""
+    first = TruncatedSeries.monomial(1, order, coeff=-cval) + TruncatedSeries.one(order)
+    second = TruncatedSeries.monomial(2, order, coeff=-1)
+    prev, cur = TruncatedSeries.constant(2, order), first
+    if n == 0:
+        return prev
+    for _ in range(n - 1):
+        prev, cur = cur, series_mul_loops(first, cur) + series_mul_loops(second, prev)
+    return cur
+
+
 def paths_oracle(w: WeightSpec, n: int, k: int) -> RingElement:
     """Weight of all up/down/level paths of length n from height 0 to k.
 

@@ -1,6 +1,8 @@
-"""scripts/bench_pairs.py::summarise on synthetic pairs: no git, no runs."""
+"""scripts/bench_pairs.py: summarise on synthetic pairs, and the working-tree
+export on a throwaway git repository; no benchmark runs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -89,3 +91,31 @@ def test_ratio_quartiles_and_a_parent_of_zero(bench_pairs):
     change = [1.0, 1.0, 4.0, 2.0, 1.0]  # ratios 0.5, 1.0, 2.0, 0.2; the 0 is left out
     entry = bench_pairs.summarise(pairs_of(parent, change, "wall_s"), SPEC[:1])["wall_s"]
     assert entry["ratio"] == pytest.approx({"median": 0.75, "q1": 0.275, "q3": 1.75})
+
+
+def test_worktree_export_skips_ignored_bytecode(bench_pairs, tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "export"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=repo, check=True, capture_output=True,
+        )
+
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "m.py").write_text("x = 1\n")
+    (repo / "gone.py").write_text("y = 1\n")
+    git("init", "-q")
+    git("add", ".")
+    git("commit", "-q", "-m", "seed")
+    (repo / "m.py").write_text("x = 2\n")  # a modified tracked file
+    (repo / "gone.py").unlink()  # tracked, deleted from the working tree
+    (repo / "pkg").mkdir()
+    (repo / "pkg" / "new.py").write_text("z = 3\n")  # untracked, not ignored
+    (repo / "__pycache__").mkdir()
+    (repo / "__pycache__" / "m.pyc").write_bytes(b"stale")
+    bench_pairs.export_worktree(repo, dest)
+    files = sorted(str(f.relative_to(dest)) for f in dest.rglob("*") if f.is_file())
+    assert files == [".gitignore", "m.py", "pkg/new.py"]
+    assert (dest / "m.py").read_text() == "x = 2\n"

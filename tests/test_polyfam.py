@@ -1,5 +1,6 @@
 import pytest
 
+from catalan_hankel import series
 from catalan_hankel.hankel import hankel_det
 from catalan_hankel.polyfam import (
     fibonacci_poly,
@@ -10,6 +11,7 @@ from catalan_hankel.polyfam import (
 from catalan_hankel.ring import C, Polynomial
 from catalan_hankel.sequences import Constant
 from catalan_hankel.series import TruncatedSeries
+from oracles import lucas_bivariate_full_order
 
 
 def test_fibonacci_base_cases():
@@ -118,3 +120,25 @@ def test_twice_shifted_determinants_are_fibonacci_square_sums():
 def test_bivariate_series_lives_in_requested_order():
     s = lucas_bivariate_at(3, 1, 4)
     assert isinstance(s, TruncatedSeries) and s.order == 4
+
+
+def test_substituted_lucas_matches_full_order_oracle(monkeypatch):
+    # the recurrence runs at order min(order, n + 1): order <= n truncates
+    # L_n itself, and no product reaching the int kernel is longer than n + 1
+    lengths = []
+    kernel = series._mul_int
+
+    def recording(a, b):
+        lengths.append(max(len(a), len(b)))
+        return kernel(a, b)
+
+    monkeypatch.setattr(series, "_mul_int", recording)
+    for cval in (-2, 0, 3, C):
+        for n in range(13):
+            for order in range(1, n + 4):
+                lengths.clear()
+                got = lucas_bivariate_at(n, cval, order)
+                assert (max(lengths) <= n + 1) if n >= 2 else not lengths
+                expected = lucas_bivariate_full_order(n, cval, order)
+                assert got == expected
+                assert [type(v) for v in got.coeffs] == [type(v) for v in expected.coeffs]

@@ -151,6 +151,16 @@ def test_series_need_a_constant_term():
         TruncatedSeries(())
     with pytest.raises(ValueError):
         motzkin_series(1, 0)
+    # an order below 1 or a negative power is refused, never wrapped around
+    for make in (
+        lambda: TruncatedSeries.constant(7, 0),
+        lambda: TruncatedSeries.one(-3),
+        lambda: TruncatedSeries.monomial(-1, 5),
+        lambda: TruncatedSeries.monomial(-5, 3),
+        lambda: TruncatedSeries.monomial(0, 0),
+    ):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_coefficients_match_triangle_column_zero():
@@ -307,8 +317,8 @@ def test_kernels_at_orders_one_and_two():
 
 
 def test_sparse_int_products_match_loop_oracle():
-    # the int kernel sums over the shorter nonzero span: monomials, short
-    # polynomials in x, spans that start late, and the zero series
+    # the plain int convolution on mostly-zero operands: monomials, short
+    # polynomials in x, nonzero runs that start late, and the zero series
     dense = motzkin_power(3, 2, 12)
     for sparse in (
         TruncatedSeries.monomial(3, 12, coeff=-2),
