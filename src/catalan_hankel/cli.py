@@ -31,16 +31,17 @@ SERIES_MAX_ORDER = 10000
 #: Bound on (k + 16) * (order + 2k)**3 for `series --c sym`: coefficient n
 #: is a polynomial of degree n, each of the k + 1 passes costs about
 #: length**3 (lengths up to order + 2k) and printing about 15 more.  Order
-#: 1400 at k 0: 5.6 s, 0.75 GB; order 1028 at k 20: 7.5 s, 0.39 GB; the
-#: slowest shape timed, order 523 at k 100: 10 s.
+#: 1400 at k 0: 2.7 s, 0.44 GB; the slowest shape timed, order 1028 at k 20:
+#: 5.7-6.1 s, 0.35 GB; order 523 at k 100: 3.0-3.1 s, 0.11 GB.
 SERIES_MAX_SYMBOLIC_WORK = 16 * 1400**3
 #: Largest `seq --n` (const:1: 0.6 s, 20 MB), `table --n-max` (const:1 as
 #: json: 2 s, 0.35 GB) and `det --n` (const:3: 2.0-2.4 s) accepted; `det` is
 #: also held to TABLE_MAX_N for the triangle depth 2(n-1)+m it reads.
 SEQ_MAX_N, TABLE_MAX_N, DET_MAX_N = 2000, 1000, 300
 #: Weights holding c admit a fifth of each of those: entries are then
-#: polynomials (const:c: `seq --n 400` 2.3 s and 29 MB; `det --n 60` 2.0-2.3 s,
-#: 7.5-8.7 s with `--m 1` and 25-28 s with `--m 3 --k 2`).
+#: polynomials (const:c: `seq --n 400` 1.0-1.2 s and 31 MB, `table --n-max
+#: 200` 1.3 s and 95 MB; `det --n 60` 2.0-2.3 s, 7.5-8.7 s with `--m 1`
+#: and 25-28 s with `--m 3 --k 2`).
 SYMBOLIC_SHARE = 5
 #: Integer weights of b bits at the heights used lower each size ceiling to
 #: the largest n with n**3 * (b + 1) * (b + 250) <= WEIGHT_BITS_WORK *
@@ -59,10 +60,10 @@ WEIGHT_BITS_WORK = 3 * 252
 #: --n-max 100 83-88 s (lemma13, at the order 207 it then needs; theorem1
 #: 18 s), --k-max 100 2.7-3.4 s (theorem2), --m-max 50 4.2-4.4 s (lemma13),
 #: --trials 10000 3.5-4.2 s (theorem1), --order 500 1.9-2.3 s (lemma13); with
-#: --c sym, --order 100 0.6-0.8 s (series_identities) and --n-max 20 1.9 s
+#: --c sym, --order 100 0.4 s (series_identities) and --n-max 20 1.9 s
 #: (theorem2); theorem1 --weights const:c --n-max 20 0.5 s.  The largest
 #: symbolic product of flags admitted, series_identities --c sym --k-max 20
-#: --order 100, takes 2.7-4.3 s (subprocess wall time, shared 2-core VM).
+#: --order 100, takes 1.3-1.4 s (subprocess wall time, shared 2-core VM).
 #: At the edges of the weight-bit rule theorem2 takes 3.4-4.2 s for c = 10**6
 #: (--n-max 51) and 0.7 s for c = 10**200 (--n-max 10); without the lowering,
 #: theorem2 --c 10**6 --n-max 100 takes 93-100 s; at c = 10**200, and theorem1

@@ -37,33 +37,39 @@ def lucas_poly(n: int) -> Polynomial:
 
 
 def _two_arg_lucas(two, x, s, n):
-    # generic over any values supporting + and *
-    if n == 0:
-        return two
-    prev, cur = two, x
-    for _ in range(n - 1):
-        prev, cur = cur, x * cur + s * prev
-    return cur
+    """[L_0, ..., L_n](x, s), generic over any values supporting + and *."""
+    out = [two, x][: n + 1]
+    while len(out) <= n:
+        out.append(x * out[-1] + s * out[-2])
+    return out
 
 
 def lucas_bivariate_eval(n: int, x: RingElement, s: RingElement) -> RingElement:
     """L_n(x, s) for scalar ring elements."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    return _two_arg_lucas(2, x, s, n)
+    return _two_arg_lucas(2, x, s, n)[n]
 
 
-def lucas_bivariate_at(n: int, cval: RingElement, order: int) -> TruncatedSeries:
-    """L_n evaluated at (1 - c*x, -x^2), as a series modulo x**order.
+def lucas_bivariate_upto(n: int, cval: RingElement, order: int) -> list:
+    """[L_0, ..., L_n] evaluated at (1 - c*x, -x^2), as series modulo x**order.
 
-    The result is a polynomial in x of degree n (coefficients in the ring
-    of cval), so the recurrence runs on series of order min(order, n + 1)
-    and zeros fill the rest.
+    L_j is a polynomial in x of degree j (coefficients in the ring of cval),
+    so one run of the recurrence on series of order min(order, n + 1) builds
+    them all, and zeros fill the rest.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
     t = min(order, n + 1)
     first = TruncatedSeries.monomial(1, t, coeff=-cval) + TruncatedSeries.one(t)
     second = TruncatedSeries.monomial(2, t, coeff=-1)
-    short = _two_arg_lucas(TruncatedSeries.constant(2, t), first, second, n)
-    return TruncatedSeries(short.coeffs + (0,) * (order - t))
+    pad = (0,) * (order - t)
+    return [
+        TruncatedSeries(v.coeffs + pad)
+        for v in _two_arg_lucas(TruncatedSeries.constant(2, t), first, second, n)
+    ]
+
+
+def lucas_bivariate_at(n: int, cval: RingElement, order: int) -> TruncatedSeries:
+    """L_n evaluated at (1 - c*x, -x^2), as a series modulo x**order."""
+    return lucas_bivariate_upto(n, cval, order)[n]

@@ -13,11 +13,15 @@ raises NotDivisibleError when a leading coefficient does not divide (the
 quotient would leave Z[c]).
 :func:`exact_div` is ``divmod`` followed by a check that the remainder is
 zero, so a division that is not exact always fails loudly, whatever the
-operand types.
+operand types.  ``_pack`` and ``_unpack`` put polynomials at c = 2**h and
+read them back (Kronecker substitution), for the series kernels and the
+triangle, which add and multiply packed ints but never divide them.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import lshift, sub
 from typing import Union
 
 
@@ -227,6 +231,52 @@ def _poly_from_list(cs: list) -> Polynomial:
     p = object.__new__(Polynomial)
     object.__setattr__(p, "coeffs", tuple(cs))
     return p
+
+
+def _pack(cs, h: int) -> int:
+    """The value at c = 2**h of the polynomial with int coefficients cs."""
+    return sum(map(lshift, cs, range(0, h * len(cs), h)))
+
+
+def _packing_h(bound: int, stride: int) -> int:
+    """The h at which to pack when every coefficient read back is at most
+    ``bound`` in size and every stride-th power of c is read: the digits,
+    stride * h bits wide, hold bound and its sign, in whole bytes."""
+    return -(-(bound.bit_length() + 1) // 8) * 8 // stride
+
+
+def _unpack(values: list, h: int, offsets=None) -> list:
+    """The Polynomials whose values at c = 2**h are ``values``, read as
+    balanced digits: exact when every coefficient is below 2**(h - 1) in
+    size.  With ``offsets``, value i is c^r q(c^2) for r = offsets[i] (every
+    term c^d has d = r mod 2), and q is read in base 2**(2h): each
+    coefficient then needs only to be below 2**(2h - 1).  h comes from
+    _packing_h, so each digit is a whole number of bytes.  The readers of
+    packed series and triangle entries share it (see series._kronecker and
+    sequences._packed)."""
+    stride = 1 if offsets is None else 2
+    width = stride * h
+    size = width // 8
+    # adding `halves`, every digit 2**(width - 1), turns the balanced digits
+    # into plain ones, read off the value's bytes without carries; value
+    # needs at most value.bit_length() // width + 2 digits
+    half = 1 << (width - 1)
+    top = max(map(int.bit_length, values), default=0) // width + 2
+    halves = int.from_bytes(half.to_bytes(size, "little") * top, "little")
+    cuts = [slice(i, i + size) for i in range(0, size * top, size)]
+    out = []
+    for value, offset in zip(values, repeat(0) if offsets is None else offsets):
+        value >>= h * offset
+        count = value.bit_length() // width + 2
+        digits = (value + (halves >> width * (top - count))).to_bytes(size * count, "little")
+        cs = [0] * (offset + stride * count)
+        cs[offset::stride] = map(
+            sub,
+            map(int.from_bytes, map(digits.__getitem__, cuts[:count]), repeat("little")),
+            repeat(half),
+        )
+        out.append(_poly_from_list(cs))
+    return out
 
 
 def _long_division(rem: list, den: list) -> list:

@@ -10,14 +10,20 @@ from a[0][k] = [k == 0], which counts weighted 3-step lattice paths
 the one row step: ``columns`` streams the few columns a determinant or a
 dump needs, holding one row at a time, and ``admissible_table`` keeps every
 row, for printing the whole triangle.
+
+The step runs on ints only.  When a weight holds c, both readers run it on
+the weights' values at c = 2**h (Kronecker substitution) and read each entry
+they return back as a Polynomial (``_packed``), h from a majorant: the same
+step run on the weights' norms.  The step never divides, so that is exact.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
-from .ring import C, RingElement, render
+from .ring import C, Polynomial, RingElement, _pack, _packing_h, _unpack, render
 
 
 class WeightSpec:
@@ -105,15 +111,62 @@ def _next_row(prev: tuple, weights) -> tuple:
     )
 
 
+def _rows(weights: list, max_n: int) -> list:
+    rows = [(1,)]
+    for _ in range(max_n):
+        rows.append(_next_row(rows[-1], weights))
+    return rows
+
+
+def _columns(weights: list, ks: list, depth: int) -> dict:
+    # row r keeps only heights up to max(ks) + depth - r (see columns)
+    out = {k: [] for k in ks}
+    reach = max(ks, default=0) + depth
+    row = (1,)
+    for r in range(depth + 1):
+        if r:
+            row = _next_row(row, weights[: reach - r + 1])
+        for k, values in out.items():
+            values.append(row[k] if k < len(row) else 0)
+    return out
+
+
+def _packed(weights: list, build, gaps: list) -> list:
+    """build(weights) over Z[c], as Polynomials: build returns triangle
+    entries as one list, entry i in row n and column k with n - k = gaps[i].
+
+    The triangle step adds and multiplies, so build runs on the weights at
+    c = 2**h, and ring._unpack reads its entries back.  h comes from a
+    majorant, build run on the weights' norms: the norm of an entry is at
+    most the sum over its paths of the products of their level weights'
+    norms.  When every weight holds only powers c^d with d = s (mod 2), an
+    entry holds only d = s (n - k) (mod 2), and h is halved.
+    """
+    cs = [v.coeffs if isinstance(v, Polynomial) else (v,) for v in weights]
+    bound = max(build([sum(map(abs, v)) for v in cs]), default=0)
+    parity = [s for s in (0, 1) if not any(any(v[1 - s :: 2]) for v in cs)]
+    h = _packing_h(bound, 2 if parity else 1)
+    entries = build([_pack(v, h) for v in cs])
+    if not parity:
+        return _unpack(entries, h)
+    return _unpack(entries, h, [parity[0] * g % 2 for g in gaps])
+
+
 def admissible_table(w: WeightSpec, max_n: int) -> tuple:
     """The whole triangle as rows 0..max_n; row n holds a[n][0..n]."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     weights = [w.at(k) for k in range(max_n + 1)]
-    rows = [(1,)]
-    for _ in range(max_n):
-        rows.append(_next_row(rows[-1], weights))
-    return tuple(rows)
+    if Polynomial not in map(type, weights):
+        return tuple(_rows(weights, max_n))
+    entries = iter(
+        _packed(
+            weights,
+            lambda ws: [v for row in _rows(ws, max_n) for v in row],
+            [n - k for n in range(max_n + 1) for k in range(n + 1)],
+        )
+    )
+    return tuple(tuple(islice(entries, n + 1)) for n in range(max_n + 1))
 
 
 def columns(w: WeightSpec, ks, depth: int) -> dict:
@@ -125,18 +178,18 @@ def columns(w: WeightSpec, ks, depth: int) -> dict:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    out = {k: [] for k in ks}
-    if any(k < 0 for k in out):
+    ks = list(dict.fromkeys(ks))
+    if any(k < 0 for k in ks):
         raise ValueError("column index must be >= 0")
-    reach = max(out, default=0) + depth
     weights = [w.at(h) for h in range(depth + 1)]
-    row = (1,)
-    for r in range(depth + 1):
-        if r:
-            row = _next_row(row, weights[: reach - r + 1])
-        for k, values in out.items():
-            values.append(row[k] if k < len(row) else 0)
-    return out
+    if Polynomial not in map(type, weights):
+        return _columns(weights, ks, depth)
+    entries = _packed(
+        weights,
+        lambda ws: [v for values in _columns(ws, ks, depth).values() for v in values],
+        [r - k for k in ks for r in range(depth + 1)],
+    )
+    return {k: entries[i * (depth + 1) : (i + 1) * (depth + 1)] for i, k in enumerate(ks)}
 
 
 _SHIFT_RE = re.compile(r"^shift(?:\^(\d+))?$")

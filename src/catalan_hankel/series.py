@@ -10,10 +10,10 @@ coefficient is one builtin ``sum(map(mul, ...))``, so a product of order t
 is a plain truncated convolution of t**2 / 2 multiplies, whatever its
 operands hold.  Over Z[c] the same kernels run on the operands' values at
 c = 2**h (Kronecker substitution), and every output value is read back as
-balanced digits, with h from a norm majorant and halved when every
-coefficient holds only odd or only even powers of c in step with its index
-(see ``_kronecker``).  Nothing is divided while packed, so the division of
-``_motzkin_coeffs`` stays on ring elements.
+balanced digits (``ring._unpack``, which the triangle shares), with h from
+a norm majorant and halved when every coefficient holds only odd or only
+even powers of c in step with its index (see ``_kronecker``).  Nothing is
+divided while packed.
 
 The generating function A(x) = sum a_n x^n of weighted Motzkin paths with
 constant level weight c satisfies A = 1 + c*x*A + x^2*A^2.  A is algebraic,
@@ -26,16 +26,29 @@ A^j gives x^2 A^{j+2} = (1 - c*x) A^{j+1} - A^j for every integer j, a
 linear recurrence that walks from A^0 = 1 and A^1 = A up to any positive
 power or down to any reciprocal power.  motzkin_power combines the two, so
 A^e costs O(order + |e| * order) ring operations; the closed radical form
-is never used (square roots leave the ring).
+is never used (square roots leave the ring).  For an int c both run on
+ints.  Over Z[c] the P-recurrence runs on int coefficient lists in c, each
+coefficient divided by n+2 with its remainder checked, and the walk, which
+only adds and multiplies, runs packed.
 """
 
 from __future__ import annotations
 
 import functools
 from itertools import repeat
-from operator import and_, lshift, mul, rshift, sub
+from operator import add, floordiv, mod, mul, sub
 
-from .ring import Polynomial, RingElement, _poly_from_list, as_poly, exact_div
+from .ring import (
+    NotDivisibleError,
+    Polynomial,
+    RingElement,
+    _pack,
+    _packing_h,
+    _poly_from_list,
+    _unpack,
+    as_poly,
+    exact_div,
+)
 
 
 class NonUnitConstantTermError(ValueError):
@@ -132,7 +145,7 @@ class TruncatedSeries:
         if isinstance(a[0], Polynomial) or isinstance(b[0], Polynomial):
             ca, cb = _coeffs(a), _coeffs(b)
             majorant = _mul_int(_norms(ca), _norms(cb))
-            return TruncatedSeries(_kronecker(_mul_int, [ca, cb], majorant))
+            return TruncatedSeries(_kronecker(lambda h, a, b: _mul_int(a, b), [ca, cb], majorant))
         return TruncatedSeries(_mul_int(a, b))
 
     __rmul__ = __mul__
@@ -163,8 +176,9 @@ class TruncatedSeries:
         if isinstance(u0, Polynomial):
             cu = _coeffs(self.coeffs)
             majorant = _reciprocal_int([-x for x in _norms(cu)], 1)
-            kernel = functools.partial(_reciprocal_int, inv0=inv0)
-            return TruncatedSeries(_kronecker(kernel, [cu], majorant))
+            return TruncatedSeries(
+                _kronecker(lambda h, u: _reciprocal_int(u, inv0), [cu], majorant)
+            )
         return TruncatedSeries(_reciprocal_int(self.coeffs, inv0))
 
     # -- comparison / rendering --------------------------------------------
@@ -205,7 +219,8 @@ def _reciprocal_int(u, inv0: int) -> list:
 # reciprocal over Z[c] is the int kernel run on its operands' values at
 # c = 2**h, and each output coefficient is read back from its value as
 # balanced base 2**h digits.  That is exact when every coefficient is below
-# 2**(h - 1) in size, so h >= B, B one bit past a majorant: the norm of an
+# 2**(h - 1) in size, so h >= B, B one bit past a majorant (ring._packing_h
+# rounds it up to whole bytes): the norm of an
 # element (the sum of its coefficients' sizes) is at most the sum or product
 # of the norms of its parts, so the int product of the operands' norm
 # series, or 1 / (1 - sum_{j>=1} |u_j| x^j) for a reciprocal, bounds every
@@ -214,7 +229,8 @@ def _reciprocal_int(u, inv0: int) -> list:
 # (A^e, 1/A^e, x A^e, 1 - c x), every term of output coefficient n has
 # d = n + s_a + s_b: it is c^r q(c^2) with r = (n + s_a + s_b) mod 2, its value
 # is 2**(h r) q(2**(2h)), and the digits of q in base 2**(2h) need only
-# 2h >= B.
+# 2h >= B.  Each operand with a parity is packed the same way, as q at 2**(2h)
+# shifted by h r, which halves the terms to pack.
 
 
 def _coeffs(series) -> list:
@@ -236,51 +252,88 @@ def _parity(cs: list):
     return None
 
 
+def _pack_series(cs: list, s, h: int) -> tuple:
+    """Each coefficient of cs at c = 2**h; with parity s, coefficient n is
+    c^r q(c^2) for r = (n + s) mod 2, packed as q at c^2 = 2**(2h)."""
+    if s is None:
+        return tuple(_pack(v, h) for v in cs)
+    return tuple(
+        _pack(v[(n + s) % 2 :: 2], 2 * h) << h * ((n + s) % 2) for n, v in enumerate(cs)
+    )
+
+
 def _kronecker(kernel, operands: list, majorant) -> list:
-    """kernel(*operands) over Z[c], as Polynomials: kernel computes on int
-    series with + and * alone, and runs on each operand (a list of
-    coefficient tuples) at c = 2**h.  No output coefficient is larger than
-    max(majorant); if every operand has a parity s (see _parity), the
-    outputs have the sum of them."""
+    """The kernel over Z[c], as Polynomials: kernel(h, *values) computes on
+    int series with + and * alone, and runs on each operand (a list of
+    coefficient tuples) at c = 2**h; it gets h to multiply by powers of c
+    with shifts.  No output coefficient is larger than max(majorant); if
+    every operand has a parity s (see _parity), the outputs have the sum of
+    them."""
     parities = [_parity(cs) for cs in operands]
     parity = None if None in parities else sum(parities)
-    bits = max(majorant).bit_length() + 1
-    stride = 1 if parity is None else 2
-    h = -(-bits // stride)
-    width = stride * h
-    values = kernel(
-        *(tuple(sum(map(lshift, v, range(0, h * len(v), h))) for v in cs) for cs in operands)
-    )
-    # adding `halves`, every digit 2**(width - 1), turns the balanced digits
-    # into plain ones, read without carries; value needs at most
-    # value.bit_length() // width + 2 digits
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    top = max(map(int.bit_length, values)) // width + 2
-    halves = ((1 << width * top) - 1) // mask * half
-    out = []
-    for n, value in enumerate(values):
-        offset = 0 if parity is None else (n + parity) % 2
-        value >>= h * offset
-        count = value.bit_length() // width + 2
-        biased = value + (halves >> width * (top - count))
-        cs = [0] * (offset + stride * count)
-        cs[offset::stride] = map(
-            sub,
-            map(and_, map(rshift, repeat(biased), range(0, width * count, width)), repeat(mask)),
-            repeat(half),
-        )
-        out.append(_poly_from_list(cs))
-    return out
+    h = _packing_h(max(majorant), 1 if parity is None else 2)
+    values = kernel(h, *(_pack_series(cs, s, h) for cs, s in zip(operands, parities)))
+    if parity is None:
+        return _unpack(values, h)
+    return _unpack(values, h, [(n + parity) % 2 for n in range(len(values))])
 
 
-def _motzkin_coeffs(cval: RingElement, order: int) -> list:
-    """a_0..a_{order-1} of A by the P-recurrence; the n+2 divides exactly."""
+# -- the Motzkin series A and its powers -----------------------------------------
+
+
+def _add_product(out: list, a: list, b, scale: int) -> None:
+    """out += scale * a * b for int coefficient lists a and b, out at least
+    len(a) + len(b) - 1 long."""
+    for j, v in enumerate(b):
+        if v:
+            out[j : j + len(a)] = map(add, out[j : j + len(a)], map(mul, a, repeat(scale * v)))
+
+
+def _motzkin_coeffs(cval: int, order: int) -> list:
+    """a_0..a_{order-1} of A for an int c by the P-recurrence; the n+2
+    divides exactly."""
     coeffs: list = [1, cval][:order]
     disc = cval * cval - 4
     for n in range(2, order):
         num = (2 * n + 1) * cval * coeffs[n - 1] - (n - 1) * disc * coeffs[n - 2]
         coeffs.append(exact_div(num, n + 2))
     return coeffs
+
+
+def _motzkin_lists(cv: tuple, order: int) -> list:
+    """a_0..a_{order-1} of A over Z[c] as int coefficient lists in c, cv
+    holding c's coefficients, by the P-recurrence: every coefficient of
+    (n+2) a_n is divided by n+2, and a nonzero remainder raises
+    NotDivisibleError."""
+    disc = [0] * max(2 * len(cv) - 1, 1)
+    _add_product(disc, list(cv), cv, 1)
+    disc[0] -= 4
+    coeffs: list = [[1], list(cv)][:order]
+    for n in range(2, order):
+        p, q = coeffs[n - 1], coeffs[n - 2]
+        num = [0] * max(len(p) + len(cv) - 1, len(q) + len(disc) - 1)
+        _add_product(num, p, cv, 2 * n + 1)
+        _add_product(num, q, disc, 1 - n)
+        if any(map(mod, num, repeat(n + 2))):
+            raise NotDivisibleError(f"(n + 2) a_n at n = {n} is not divisible by {n + 2}")
+        coeffs.append(list(map(floordiv, num, repeat(n + 2))))
+    return coeffs
+
+
+def _walk(a: list, times_c, exponent: int, op=sub) -> list:
+    """A^exponent from A's coefficients a (see motzkin_power), on ints,
+    times_c multiplying by c; with op=add every term adds, a majorant's
+    walk."""
+    # going up hi = A^{j+1} and lo = A^j, going down hi = A^{j+2} and
+    # lo = A^{j+1}; both start from A^1 and A^0
+    hi, lo = a, [1] + [0] * (len(a) - 1)
+    if exponent >= 1:
+        for _ in range(exponent - 1):
+            hi, lo = list(map(op, map(op, hi[2:], map(times_c, hi[1:])), lo[2:])), hi
+        return hi
+    for _ in range(-exponent):
+        hi, lo = lo, list(map(op, map(op, lo, map(times_c, [0] + lo)), [0, 0] + hi))
+    return lo
 
 
 def motzkin_power(cval: RingElement, exponent: int, order: int) -> TruncatedSeries:
@@ -290,25 +343,35 @@ def motzkin_power(cval: RingElement, exponent: int, order: int) -> TruncatedSeri
     A^{j+2} is [x^{n+2}]A^{j+1} - c [x^{n+1}]A^{j+1} - [x^{n+2}]A^j, so each
     step loses two coefficients and A is computed to order + 2(exponent-1).
     Going down, A^j = (1 - c*x) A^{j+1} - x^2 A^{j+2} needs no extra terms.
+    Over Z[c] the walk runs packed, h from the same walk on the norms.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if exponent >= 1:
-        # hi = A^{j+1}, lo = A^j, starting from A^1 and A^0
-        hi = _motzkin_coeffs(cval, order + 2 * (exponent - 1))
-        lo = [1] + [0] * (len(hi) - 1)
-        for _ in range(exponent - 1):
-            up = [hi[n + 2] - cval * hi[n + 1] - lo[n + 2] for n in range(len(hi) - 2)]
-            hi, lo = up, hi
-        return TruncatedSeries(hi)
-    # hi = A^{j+2}, lo = A^{j+1}, starting from A^1 and A^0
-    hi = _motzkin_coeffs(cval, order)
-    lo = [1] + [0] * (order - 1)
-    for _ in range(-exponent):
-        lo_x, hi_x2 = [0] + lo, [0, 0] + hi
-        down = [lo[n] - cval * lo_x[n] - hi_x2[n] for n in range(order)]
-        hi, lo = lo, down
-    return TruncatedSeries(lo)
+    length = order + 2 * (exponent - 1) if exponent >= 1 else order
+    if not isinstance(cval, Polynomial):
+        a = _motzkin_coeffs(cval, length)
+        return TruncatedSeries(_walk(a, functools.partial(mul, cval), exponent))
+    a = _motzkin_lists(cval.coeffs, length)
+    if exponent == 1:
+        # A itself: nothing to walk, so nothing to pack
+        return TruncatedSeries(map(_poly_from_list, a))
+    # A is a series in c x and x^2, and so is each of its powers: their
+    # coefficient n holds only c^i with i = n (mod 2), so the walk's output
+    # has A's parity, and A is the walk's one operand.  At c = 2**h the walk
+    # multiplies by c term by term, x c^d v as x v << d h: a shift, where a
+    # product with c's packed value costs a pass over v per 30 bits of it.
+    norm_c = sum(map(abs, cval.coeffs))
+    majorant = _walk(list(_norms(a)), functools.partial(mul, norm_c), exponent, add)
+
+    def kernel(h, packed):
+        terms = [(d * h, x) for d, x in enumerate(cval.coeffs) if x]
+        return _walk(
+            list(packed),
+            lambda v: sum([v << s if x == 1 else x * v << s for s, x in terms]),
+            exponent,
+        )
+
+    return TruncatedSeries(_kronecker(kernel, [a], majorant))
 
 
 def motzkin_series(cval: RingElement, order: int) -> TruncatedSeries:

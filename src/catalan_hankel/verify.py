@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .hankel import hankel_dets, hankel_minors
-from .polyfam import fibonacci_poly, lucas_bivariate_at, lucas_poly
+from .polyfam import fibonacci_poly, lucas_bivariate_upto, lucas_poly
 from .ring import RingElement, parity_sign, render
 from .sequences import Constant, Explicit, WeightSpec, columns, shift
 from .series import TruncatedSeries, motzkin_power, motzkin_series
@@ -456,7 +456,7 @@ def check_series_identities(
     cols = columns(Constant(cval), range(k_max + 1), order - 1)
     run = _Run()
     # A^0..A^{k_max+1} for the bridge and the reciprocals, and A^2 at least
-    powers = [TruncatedSeries.one(order)]
+    powers = [TruncatedSeries.one(order), a]
     while len(powers) <= max(k_max + 1, 2):
         powers.append(powers[-1] * a)
     for k in range(k_max + 1):
@@ -474,10 +474,14 @@ def check_series_identities(
     )
     for n in range(order):
         run.check({"clause": "quadratic-residual", "n": n}, residual[n], 0)
+    # 1/A^{k+1} = (1/A)^{k+1}: one reciprocal and k_max products
+    inverse = recip = a.reciprocal()
+    lucas = lucas_bivariate_upto(k_max + 1, cval, order)
     for k in range(k_max + 1):
-        power = powers[k + 1]
-        lhs = power.reciprocal() + _shift(power, 2 * k + 2)
-        rhs = lucas_bivariate_at(k + 1, cval, order)
+        if k:
+            recip = recip * inverse
+        lhs = recip + _shift(powers[k + 1], 2 * k + 2)
+        rhs = lucas[k + 1]
         for n in range(order):
             run.check(
                 {"clause": "reciprocal-lucas", "k": k, "n": n}, lhs[n], rhs[n]

@@ -412,6 +412,57 @@ def lucas_bivariate_full_order(n: int, cval: RingElement, order: int) -> Truncat
     return cur
 
 
+def _next_row_generic(prev: tuple, weights) -> tuple:
+    padded = (0,) + prev + (0, 0)
+    return tuple(
+        a + s * b + c for a, s, b, c in zip(padded, weights, padded[1:], padded[2:])
+    )
+
+
+def table_generic(w: WeightSpec, max_n: int) -> tuple:
+    """Rows 0..max_n of the triangle by the three-term step on ring
+    elements, Polynomial objects over Z[c]: the oracle for
+    ``sequences.admissible_table``, which runs a triangle holding c on its
+    entries' values at c = 2**h."""
+    weights = [w.at(k) for k in range(max_n + 1)]
+    rows = [(1,)]
+    for _ in range(max_n):
+        rows.append(_next_row_generic(rows[-1], weights))
+    return tuple(rows)
+
+
+def columns_generic(w: WeightSpec, ks, depth: int) -> dict:
+    """{k: [a[0][k], ..., a[depth][k]]} read off ``table_generic``: the
+    oracle for ``sequences.columns``."""
+    rows = table_generic(w, depth)
+    return {k: [row[k] if k < len(row) else 0 for row in rows] for k in ks}
+
+
+def motzkin_power_generic(cval: RingElement, exponent: int, order: int) -> TruncatedSeries:
+    """A**exponent by the P-recurrence and the walk x^2 A^{j+2} =
+    (1 - c x) A^{j+1} - A^j on ring elements, Polynomial objects over Z[c],
+    with ``exact_div`` for the division by n + 2: the oracle for
+    ``series.motzkin_power``, which runs the recurrence on int coefficient
+    lists and the walk packed."""
+    length = order + 2 * (exponent - 1) if exponent >= 1 else order
+    hi: list = [1, cval][:length]
+    disc = cval * cval - 4
+    for n in range(2, length):
+        num = (2 * n + 1) * cval * hi[n - 1] - (n - 1) * disc * hi[n - 2]
+        hi.append(exact_div(num, n + 2))
+    lo = [1] + [0] * (len(hi) - 1)
+    if exponent >= 1:
+        for _ in range(exponent - 1):
+            up = [hi[n + 2] - cval * hi[n + 1] - lo[n + 2] for n in range(len(hi) - 2)]
+            hi, lo = up, hi
+        return TruncatedSeries(hi)
+    for _ in range(-exponent):
+        lo_x, hi_x2 = [0] + lo, [0, 0] + hi
+        down = [lo[n] - cval * lo_x[n] - hi_x2[n] for n in range(order)]
+        hi, lo = lo, down
+    return TruncatedSeries(lo)
+
+
 def paths_oracle(w: WeightSpec, n: int, k: int) -> RingElement:
     """Weight of all up/down/level paths of length n from height 0 to k.
 

@@ -1,16 +1,18 @@
 import pytest
 
-from catalan_hankel import series
+from catalan_hankel import polyfam, series
 from catalan_hankel.hankel import hankel_det
 from catalan_hankel.polyfam import (
     fibonacci_poly,
     lucas_bivariate_at,
     lucas_bivariate_eval,
+    lucas_bivariate_upto,
     lucas_poly,
 )
 from catalan_hankel.ring import C, Polynomial
 from catalan_hankel.sequences import Constant
 from catalan_hankel.series import TruncatedSeries
+from catalan_hankel.verify import check_series_identities
 from oracles import lucas_bivariate_full_order
 
 
@@ -142,3 +144,26 @@ def test_substituted_lucas_matches_full_order_oracle(monkeypatch):
                 expected = lucas_bivariate_full_order(n, cval, order)
                 assert got == expected
                 assert [type(v) for v in got.coeffs] == [type(v) for v in expected.coeffs]
+
+
+def test_substituted_lucas_upto_n_in_one_run(monkeypatch):
+    # L_0..L_n from one run of the recurrence, each equal to the full-order
+    # oracle; check_series_identities takes L_1..L_{k_max+1} from one such run
+    runs = []
+    real = polyfam._two_arg_lucas
+
+    def counting(*args):
+        runs.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(polyfam, "_two_arg_lucas", counting)
+    for cval in (-2, 0, 3, C):
+        for n in range(9):
+            for order in range(1, n + 4):
+                runs.clear()
+                got = lucas_bivariate_upto(n, cval, order)
+                assert runs == [n]
+                assert got == [lucas_bivariate_full_order(j, cval, order) for j in range(n + 1)]
+    runs.clear()
+    assert check_series_identities(C, 6, 20).status == "verified"
+    assert runs == [7]

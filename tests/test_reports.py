@@ -81,6 +81,38 @@ def test_symbolic_det_output_is_pinned(capsys, argv, digest):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
+# dumps over Z[c]: a column and the whole triangle for weights holding c,
+# packed at c = 2**h (const:c has a parity, the explicit weights none), and
+# the packed walk up to A^3 and down to 1/A^4
+_DUMPS_ZC = [
+    (
+        "seq --weights const:c --n 120 --format json",
+        "7ab49fb465734e5bfb4c38e4dee58d73938ea63f7f6c47bd562e10619a49a672",
+    ),
+    (
+        "table --weights explicit:c,1,c,-1,c;tail=c --n-max 40 --format json",
+        "4bcfafeea82ccfed345ca6042174f73c1dba9bfcae701233d33f7ae540e7fea6",
+    ),
+    (
+        "series --c sym --k 3 --order 80 --reciprocal --format json",
+        "d9fb77fd06d822af5a7ad7b726a1bef7f19641797b5f8e697b3fcd58efc557a4",
+    ),
+    (
+        "series --c sym --k 2 --order 80 --format json",
+        "63d63de39194c0c80f053fd46c2ab35255903bdc7a38e96e6c8b38afede4b030",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", _DUMPS_ZC, ids=["seq-const-c", "table-explicit", "series-reciprocal", "series"]
+)
+def test_symbolic_dump_output_is_pinned(capsys, argv, digest):
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
 # integer claims at `grid-int` sizes, beyond the CLI defaults: Hankel
 # matrices up to n = 30, zero pivots and pivots of 1 and -1
 _VERIFY_INT = [

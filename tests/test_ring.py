@@ -7,6 +7,9 @@ from catalan_hankel.ring import (
     C,
     NotDivisibleError,
     Polynomial,
+    _pack,
+    _packing_h,
+    _unpack,
     as_poly,
     exact_div,
     parity_sign,
@@ -282,3 +285,34 @@ def _assert_product_by_evaluation(a, b):
     assert p.degree() == a.degree() + b.degree()
     for t in range(p.degree() + 1):
         assert p.evaluate(t) == a.evaluate(t) * b.evaluate(t)
+
+
+# -- packing at c = 2**h and the balanced-digit reader ---------------------------
+#
+# Every coefficient is at most `bound` in size, and `bound` itself occurs, at
+# either sign: the digits must hold it exactly.  With a parity r, every other
+# coefficient is 0 and the reader takes every other power.
+
+
+@given(
+    st.integers(0, 2**70),
+    st.lists(st.lists(st.integers(-1, 1), max_size=40), min_size=1, max_size=6),
+    st.sampled_from([None, 0, 1]),
+)
+def test_unpack_reads_back_what_pack_packs(bound, signs, parity):
+    polys = [
+        [0 if parity is not None and (d + parity) % 2 else s * bound for d, s in enumerate(v)]
+        for v in signs
+    ]
+    h = _packing_h(bound, 1 if parity is None else 2)
+    assert (h * (1 if parity is None else 2)) % 8 == 0
+    values = [_pack(v, h) for v in polys]
+    assert values == [sum(x << (h * d) for d, x in enumerate(v)) for v in polys]
+    offsets = None if parity is None else [parity] * len(polys)
+    assert _unpack(values, h, offsets) == [Polynomial(v) for v in polys]
+
+
+def test_pack_of_no_terms_and_one_term():
+    assert _pack((), 8) == 0
+    assert _pack((-5,), 8) == -5
+    assert _pack((1, -1, 0, 3, 0), 8) == 1 - (1 << 8) + (3 << 24)

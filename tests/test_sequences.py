@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
-from catalan_hankel.ring import C
+from catalan_hankel.ring import C, Polynomial
 from catalan_hankel.sequences import (
     Constant,
     Explicit,
@@ -14,7 +14,7 @@ from catalan_hankel.sequences import (
     shift,
 )
 
-from oracles import TooLargeError, paths_oracle
+from oracles import TooLargeError, columns_generic, paths_oracle, table_generic
 
 int_specs = st.lists(st.integers(-3, 3), max_size=6).map(
     lambda vs: Explicit(tuple(vs), 0)
@@ -112,6 +112,57 @@ def test_columns_match_the_whole_triangle(w, ks, depth):
     assert set(cols) == set(ks)
     for k in ks:
         assert cols[k] == [rows[r][k] if k <= r else 0 for r in range(depth + 1)]
+
+
+# -- the packed Z[c] triangle vs the Polynomial-object step ---------------------
+#
+# A triangle whose weights hold c runs on the weights' values at c = 2**h and
+# is read back as digits, h from the same step run on the weights' norms and
+# halved when every weight holds only odd or only even powers of c.  The
+# oracle steps on Polynomial objects.  Weights are drawn from one of three
+# pools, so a spec holds only odd powers of c, only even ones, or both; the
+# odd pool has large multiples of c, whose entries have no cancellation and
+# reach the majorant.
+
+odd_weights = st.sampled_from((0, 0, C, -C, 3 * C, C**3 - 2 * C)) | st.integers(0, 2**40).map(
+    lambda v: v * C
+)
+even_weights = st.sampled_from((0, 1, -2, 3, C * C, 1 - C * C, Polynomial((5,))))
+mixed_weights = st.sampled_from((0, 0, 1, -2, C, 1 + C, C * C))
+
+
+def zc_specs(values):
+    explicit = st.builds(Explicit, st.lists(values, max_size=6).map(tuple), values)
+    return st.one_of(
+        st.builds(Constant, values), explicit, st.builds(Shifted, explicit, st.integers(0, 4))
+    )
+
+
+ZC_SPECS = st.sampled_from((odd_weights, even_weights, mixed_weights)).flatmap(zc_specs)
+
+
+def holds_c(w, depth):
+    return any(isinstance(w.at(h), Polynomial) for h in range(depth + 1))
+
+
+@given(ZC_SPECS, st.lists(st.integers(0, 20), max_size=5), st.integers(0, 14))
+@example(Constant(C), [0, 3, 15], 0)
+@example(Explicit((1, C, -1), C), [20, 0], 14)
+def test_zc_columns_match_the_generic_triangle(w, ks, depth):
+    cols = columns(w, ks, depth)
+    assert cols == columns_generic(w, ks, depth)
+    if holds_c(w, depth):
+        assert all(isinstance(v, Polynomial) for values in cols.values() for v in values)
+
+
+@given(ZC_SPECS, st.integers(0, 14))
+@example(Constant(C), 0)
+@example(Shifted(Explicit((0, C, C * C), 0), 1), 9)
+def test_zc_table_matches_the_generic_triangle(w, max_n):
+    rows = admissible_table(w, max_n)
+    assert rows == table_generic(w, max_n)
+    if holds_c(w, max_n):
+        assert all(isinstance(v, Polynomial) for row in rows for v in row)
 
 
 def test_columns_validate_their_arguments():

@@ -5,7 +5,9 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from catalan_hankel.ring import C, Polynomial
+from catalan_hankel import series
+from catalan_hankel.cli import main
+from catalan_hankel.ring import C, NotDivisibleError, Polynomial
 from catalan_hankel.sequences import Constant, Explicit, Shifted, admissible_table
 from catalan_hankel.series import (
     NonUnitConstantTermError,
@@ -14,6 +16,7 @@ from catalan_hankel.series import (
     motzkin_series,
 )
 from oracles import (
+    motzkin_power_generic,
     motzkin_series_quadratic,
     series_mul_loops,
     series_mul_terms,
@@ -247,6 +250,47 @@ def test_motzkin_power_zero_exponent_is_one():
 def test_motzkin_power_needs_a_constant_term():
     with pytest.raises(ValueError):
         motzkin_power(1, 3, 0)
+
+
+# -- the Z[c] P-recurrence on coefficient lists and the packed walk -----------
+
+_ZC_LEVEL_WEIGHTS = [C, 2 * C, 1 + C, Polynomial((3,)), Polynomial()]
+
+
+@pytest.mark.parametrize("cval", _ZC_LEVEL_WEIGHTS, ids=["c", "2c", "1+c", "3", "0"])
+def test_zc_motzkin_power_matches_generic_walk_and_quadratic(cval):
+    # 2c and c hold only odd powers of c, so the walk's output has a parity;
+    # 1 + c and the constant 3 have none; the zero polynomial leaves only even
+    # coefficients of A
+    for exponent in range(-6, 7):
+        for order in (1, 2, 3, 17):
+            got = motzkin_power(cval, exponent, order)
+            assert got.coeffs == motzkin_power_generic(cval, exponent, order).coeffs
+            quadratic = series_pow_loops(motzkin_series_quadratic(cval, order), abs(exponent))
+            if exponent < 0:
+                quadratic = series_reciprocal_loops(quadratic)
+            assert got == quadratic
+            assert all(isinstance(v, Polynomial) for v in got.coeffs)
+
+
+def test_spoiled_p_recurrence_step_raises(monkeypatch, capsys):
+    # one coefficient of (n + 2) a_n, at n = 7, is off by one: its remainder
+    # mod 9 is checked, so neither the series nor the CLI returns a value
+    real = series._add_product
+
+    def spoiled(out, a, b, scale):
+        real(out, a, b, scale)
+        if scale == 1 - 7:
+            out[-1] += 1
+
+    monkeypatch.setattr(series, "_add_product", spoiled)
+    assert motzkin_power(C, 1, 7) == motzkin_power_generic(C, 1, 7)
+    with pytest.raises(NotDivisibleError, match="not divisible by 9"):
+        motzkin_power(C, 1, 8)
+    assert main(["series", "--c", "sym", "--order", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not divisible by 9" in captured.err
 
 
 # -- product and reciprocal kernels vs the double-loop oracles -----------------

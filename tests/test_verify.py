@@ -374,7 +374,8 @@ def test_series_identities_refute_a_wrong_a(monkeypatch, k_max):
 def test_series_identities_square_a_once(monkeypatch, k_max):
     # every other product has a factor with at most two nonzero terms (1 - c x,
     # -x^2, or the constant 2 of the Lucas recurrence; the shifts by x^k are
-    # not products); full products are the powers A^2..A^max(k_max+1, 2), one each
+    # not products); full products are the powers A^2..A^max(k_max+1, 2), one
+    # each, and (1/A)^2..(1/A)^(k_max+1), one each
     real_mul = TruncatedSeries.__mul__
     full = []
 
@@ -387,7 +388,22 @@ def test_series_identities_square_a_once(monkeypatch, k_max):
 
     monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
     assert check_series_identities(C, k_max, 2 * k_max + 6).status == "verified"
-    assert len(full) == max(k_max + 1, 2) - 1
+    assert len(full) == (max(k_max + 1, 2) - 1) + k_max
+
+
+@pytest.mark.parametrize("cval", [1, C])
+def test_series_identities_take_one_reciprocal(monkeypatch, cval):
+    # 1/A^(k+1) is (1/A)^(k+1): one reciprocal per run, whatever k_max
+    real_reciprocal = TruncatedSeries.reciprocal
+    calls = []
+
+    def counting(self):
+        calls.append(self.order)
+        return real_reciprocal(self)
+
+    monkeypatch.setattr(TruncatedSeries, "reciprocal", counting)
+    assert check_series_identities(cval, 5, 16).status == "verified"
+    assert calls == [16]
 
 
 def test_flat_reciprocal_plus_shift_is_affine():
