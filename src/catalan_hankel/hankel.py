@@ -21,9 +21,10 @@ be exact.  Over the ints each entry is one builtin ``divmod`` inline, its
 remainder checked, unless the previous pivot is 1 or -1: most of the
 paper's minors are, and such a step divides nothing, its sign folded into
 the multipliers once.  A matrix over Z[c] (``hankel_minors`` decides from
-its 2n - 1 terms) is converted once to int coefficient lists, and the
-Z[c] step builds no Polynomial per entry: each numerator is one int list,
-then one exact long division by the previous pivot (or its square, in a
+its 2n - 1 terms) is converted once to int coefficient lists, the int
+form of Z[c] that ``ring`` owns with its product and exact quotient, and
+the Z[c] step builds no Polynomial per entry: each numerator is one int
+list, then one exact division by the previous pivot (or its square, in a
 pair step); only the minors are returned as Polynomials.  A nonzero
 remainder, or a leading coefficient that does not divide, raises
 InternalDivisionError.
@@ -31,7 +32,16 @@ InternalDivisionError.
 
 from __future__ import annotations
 
-from .ring import NotDivisibleError, Polynomial, RingElement, _long_division, _poly_from_list
+from .ring import (
+    NotDivisibleError,
+    Polynomial,
+    RingElement,
+    _coeffs,
+    _convolve,
+    _exact_div,
+    _poly_from_list,
+    _terms,
+)
 from .sequences import WeightSpec, columns
 
 
@@ -95,52 +105,15 @@ def _pair_step(rows, p: int, r: int, prev):
 
 # -- Z[c] ----------------------------------------------------------------------
 #
-# A matrix over Z[c] holds each entry as the dense list of its int
-# coefficients in c, lowest first, [] for zero; an entry is replaced, never
-# changed in place.  Every factor is read as its nonzero (degree, value)
-# terms, a multiplier once per step or row, so zero coefficients cost
-# nothing.  Each new entry's numerator is one int list (``_convolve``)
-# and one exact long division by prev (or prev squared) makes it the entry.
-
-
-def _coeffs(v: RingElement) -> list:
-    """The coefficient list of a ring element."""
-    return list(v.coeffs) if isinstance(v, Polynomial) else [v] if v else []
-
-
-def _terms(cs: list, scale: int = 1) -> list:
-    """The nonzero terms of scale * cs as (degree, value) pairs."""
-    return [(d, scale * x) for d, x in enumerate(cs) if x]
+# A matrix over Z[c] holds each entry as its coefficient list (ring._coeffs),
+# and each factor is read as its terms once per step or row.  Each new
+# entry's numerator is one ring._convolve, and one ring._exact_div by prev
+# (or prev squared) makes it the entry.
 
 
 def _degree(terms: list) -> int:
     """The degree of the element given by its terms; -1 for zero."""
     return terms[-1][0] if terms else -1
-
-
-def _convolve(width: int, left, right) -> list:
-    """The width int coefficients of the sum of left[i] * right[i], each
-    factor given as its terms; width exceeds every degree sum of a nonzero
-    pair (a width below 1 holds none)."""
-    acc = [0] * width
-    for ls, rs in zip(left, right):
-        if ls and rs:
-            for dl, xl in ls:
-                for dr, xr in rs:
-                    acc[dl + dr] += xl * xr
-    return acc
-
-
-def _exact_div(num: list, den: list) -> list:
-    """num / den in Z[c], den given as its terms; num is used up.  Raises
-    NotDivisibleError on a leading coefficient that does not divide and on
-    a nonzero remainder."""
-    while num and not num[-1]:
-        num.pop()
-    quot = _long_division(num, den)
-    if any(num[: den[-1][0]]):
-        raise NotDivisibleError(f"remainder {num[: den[-1][0]]}")
-    return quot
 
 
 def _step_zc(rows, p: int, prev: list) -> None:

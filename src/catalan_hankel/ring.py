@@ -3,19 +3,27 @@
 Every quantity in this package is a *ring element*: either a plain Python
 int (the ring of integers) or a :class:`Polynomial` (integer-coefficient
 polynomials in one symbol, rendered as ``c``).  The two kinds mix freely in
-``+ - *`` and ``divmod`` expressions.  Every product in Z[c] is the
-schoolbook multiply: most multipliers here are short (``c * p``) or small,
-where packing both factors into one big integer costs more than it saves.
-There is one division algorithm: ``divmod`` is the builtin one on ints and
-long division in Z[c] on Polynomials (``_long_division``, on int
-coefficient lists, which the elimination over Z[c] calls directly); it
-raises NotDivisibleError when a leading coefficient does not divide (the
-quotient would leave Z[c]).
+``+ - *`` and ``divmod`` expressions.  There is one division algorithm:
+``divmod`` is the builtin one on ints and long division in Z[c] on
+Polynomials (``_long_division``); it raises NotDivisibleError when a leading
+coefficient does not divide (the quotient would leave Z[c]).
 :func:`exact_div` is ``divmod`` followed by a check that the remainder is
 zero, so a division that is not exact always fails loudly, whatever the
-operand types.  ``_pack`` and ``_unpack`` put polynomials at c = 2**h and
-read them back (Kronecker substitution), for the series kernels and the
-triangle, which add and multiply packed ints but never divide them.
+operand types.
+
+This module owns every int form of Z[c] the kernels elsewhere run on:
+
+- coefficient lists, lowest degree first, [] for zero (``_coeffs``), and
+  their norms, the sum of the coefficients' sizes (``_norms``);
+- terms, the nonzero (degree, value) pairs of a list (``_terms``), with the
+  one coefficient-list product (``_convolve``, which ``Polynomial.__mul__``
+  is: schoolbook, as most multipliers here are short or small) and the one
+  exact quotient (``_exact_div``), for the elimination over Z[c] and the
+  P-recurrence of the Motzkin series;
+- packed ints, an element's value at c = 2**h (Kronecker substitution),
+  and the one driver, ``_kronecker``, that packs the operands of an int
+  kernel which only adds and multiplies (the series products, reciprocals
+  and Motzkin walk, and the triangle), runs it and reads its outputs back.
 """
 
 from __future__ import annotations
@@ -114,14 +122,7 @@ class Polynomial:
         if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, av in enumerate(a):
-            if av:
-                for j, bv in enumerate(b):
-                    out[i + j] += av * bv
-        return Polynomial(out)
+        return _poly_from_list(_convolve(len(a) + len(b) - 1, (_terms(a),), (_terms(b),)))
 
     __rmul__ = __mul__
 
@@ -233,6 +234,88 @@ def _poly_from_list(cs: list) -> Polynomial:
     return p
 
 
+# -- Z[c] as ints ----------------------------------------------------------------
+#
+# An element's coefficient list is replaced, never changed in place, except
+# by the functions below that say they use one up.  Every factor of a
+# product is read as its terms, once per step or row, so zero coefficients
+# cost nothing.
+
+
+def _coeffs(v: RingElement) -> list:
+    """The coefficient list of a ring element."""
+    return list(v.coeffs) if isinstance(v, Polynomial) else [v] if v else []
+
+
+def _norms(cs) -> list:
+    """The norm of each coefficient list in cs: the sum of its coefficients'
+    sizes, which bounds the norm of a sum or product by the sum or product
+    of its parts' norms."""
+    return [sum(map(abs, v)) for v in cs]
+
+
+def _terms(cs, scale: int = 1) -> list:
+    """The nonzero terms of scale * cs as (degree, value) pairs."""
+    return [(d, scale * x) for d, x in enumerate(cs) if x]
+
+
+def _convolve(width: int, left, right) -> list:
+    """The width int coefficients of the sum of left[i] * right[i], each
+    factor given as its terms; width exceeds every degree sum of a nonzero
+    pair (a width below 1 holds none)."""
+    acc = [0] * width
+    for ls, rs in zip(left, right):
+        if ls and rs:
+            for dl, xl in ls:
+                for dr, xr in rs:
+                    acc[dl + dr] += xl * xr
+    return acc
+
+
+def _long_division(rem: list, den: list) -> list:
+    """The quotient of the int coefficient lists rem / den in Z[c], den given
+    as its terms and rem without trailing zeros; rem is left holding the
+    remainder in its low deg(den) entries.  Raises NotDivisibleError when a
+    leading coefficient does not divide."""
+    k, lead = den[-1]
+    low = den[:-1]
+    quot = [0] * (len(rem) - k)
+    for i in range(len(rem) - k - 1, -1, -1):
+        top = rem[i + k]
+        if top:
+            q, r = divmod(top, lead)
+            if r:
+                raise NotDivisibleError(f"leading coefficient {top} not divisible by {lead}")
+            quot[i] = q
+            for d, v in low:
+                rem[i + d] -= q * v
+    return quot
+
+
+def _exact_div(num: list, den: list) -> list:
+    """num / den in Z[c], den given as its terms; num is used up.  Raises
+    NotDivisibleError on a leading coefficient that does not divide and on
+    a nonzero remainder."""
+    while num and not num[-1]:
+        num.pop()
+    quot = _long_division(num, den)
+    if any(num[: den[-1][0]]):
+        raise NotDivisibleError(f"remainder {num[: den[-1][0]]}")
+    return quot
+
+
+# Putting c = 2**h maps Z[c] into Z and respects + and *, so a kernel that
+# only adds and multiplies runs over Z[c] on its operands' values at
+# c = 2**h, and each output is read back from its value as balanced base
+# 2**h digits.  That is exact when every output coefficient is below
+# 2**(h - 1) in size, so h comes from a majorant, a bound on every output's
+# norm.  Parity in c halves h: when output i is c^r q(c^2) for r = offsets[i]
+# (every term c^d has d = r mod 2), its value is 2**(h r) q(2**(2h)), and the
+# digits of q in base 2**(2h) need only 2h bits (Harvey's multipoint
+# Kronecker substitution).  An operand element c^r q(c^2) is then packed as
+# q at 2**(2h), shifted by h r: the same value, half the terms to shift.
+
+
 def _pack(cs, h: int) -> int:
     """The value at c = 2**h of the polynomial with int coefficients cs."""
     return sum(map(lshift, cs, range(0, h * len(cs), h)))
@@ -248,12 +331,10 @@ def _packing_h(bound: int, stride: int) -> int:
 def _unpack(values: list, h: int, offsets=None) -> list:
     """The Polynomials whose values at c = 2**h are ``values``, read as
     balanced digits: exact when every coefficient is below 2**(h - 1) in
-    size.  With ``offsets``, value i is c^r q(c^2) for r = offsets[i] (every
-    term c^d has d = r mod 2), and q is read in base 2**(2h): each
-    coefficient then needs only to be below 2**(2h - 1).  h comes from
-    _packing_h, so each digit is a whole number of bytes.  The readers of
-    packed series and triangle entries share it (see series._kronecker and
-    sequences._packed)."""
+    size.  With ``offsets``, value i is c^r q(c^2) for r = offsets[i], and q
+    is read in base 2**(2h): each coefficient then needs only to be below
+    2**(2h - 1).  h comes from _packing_h, so each digit is a whole number
+    of bytes."""
     stride = 1 if offsets is None else 2
     width = stride * h
     size = width // 8
@@ -279,24 +360,27 @@ def _unpack(values: list, h: int, offsets=None) -> list:
     return out
 
 
-def _long_division(rem: list, den: list) -> list:
-    """The quotient of the int coefficient lists rem / den in Z[c], den given
-    as its nonzero (degree, value) terms and rem without trailing zeros; rem
-    is left holding the remainder in its low deg(den) entries.  Raises
-    NotDivisibleError when a leading coefficient does not divide."""
-    k, lead = den[-1]
-    low = den[:-1]
-    quot = [0] * (len(rem) - k)
-    for i in range(len(rem) - k - 1, -1, -1):
-        top = rem[i + k]
-        if top:
-            q, r = divmod(top, lead)
-            if r:
-                raise NotDivisibleError(f"leading coefficient {top} not divisible by {lead}")
-            quot[i] = q
-            for d, v in low:
-                rem[i + d] -= q * v
-    return quot
+def _kronecker(kernel, operands: list, majorant: int, offsets=None) -> list:
+    """The outputs of an int kernel over Z[c], as Polynomials.
+
+    kernel(h, *values) computes with + and * alone; it runs on each operand
+    (a list of coefficient lists) at c = 2**h, and gets h to multiply by
+    powers of c with shifts.  No output's norm exceeds the int majorant.
+    With ``offsets``, output i is c^r q(c^2) for r = offsets[i], and every
+    operand element must hold only powers of c of one parity, which is read
+    off the element.
+    """
+    h = _packing_h(majorant, 1 if offsets is None else 2)
+
+    def pack(v):
+        if offsets is None:
+            return _pack(v, h)
+        r = 0 if any(v[::2]) else 1
+        return _pack(v[r::2], 2 * h) << h * r
+
+    # the packed operands are the kernel's arguments alone, freed before
+    # the outputs are read back
+    return _unpack(kernel(h, *([pack(v) for v in cs] for cs in operands)), h, offsets)
 
 
 def exact_div(a: RingElement, b: RingElement) -> RingElement:

@@ -11,10 +11,9 @@ the one row step: ``columns`` streams the few columns a determinant or a
 dump needs, holding one row at a time, and ``admissible_table`` keeps every
 row, for printing the whole triangle.
 
-The step runs on ints only.  When a weight holds c, both readers run it on
-the weights' values at c = 2**h (Kronecker substitution) and read each entry
-they return back as a Polynomial (``_packed``), h from a majorant: the same
-step run on the weights' norms.  The step never divides, so that is exact.
+The step runs on ints only.  When a weight holds c, both readers run it
+through ``ring._kronecker``, which owns the packing, and ``_packed`` gives
+it a majorant and the entries' parity in c.  The step never divides.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import re
 from dataclasses import dataclass
 from itertools import islice
 
-from .ring import C, Polynomial, RingElement, _pack, _packing_h, _unpack, render
+from .ring import C, Polynomial, RingElement, _coeffs, _kronecker, _norms, render
 
 
 class WeightSpec:
@@ -135,21 +134,16 @@ def _packed(weights: list, build, gaps: list) -> list:
     """build(weights) over Z[c], as Polynomials: build returns triangle
     entries as one list, entry i in row n and column k with n - k = gaps[i].
 
-    The triangle step adds and multiplies, so build runs on the weights at
-    c = 2**h, and ring._unpack reads its entries back.  h comes from a
-    majorant, build run on the weights' norms: the norm of an entry is at
-    most the sum over its paths of the products of their level weights'
+    The majorant is build run on the weights' norms: the norm of an entry is
+    at most the sum over its paths of the products of their level weights'
     norms.  When every weight holds only powers c^d with d = s (mod 2), an
-    entry holds only d = s (n - k) (mod 2), and h is halved.
+    entry holds only d = s (n - k) (mod 2).
     """
-    cs = [v.coeffs if isinstance(v, Polynomial) else (v,) for v in weights]
-    bound = max(build([sum(map(abs, v)) for v in cs]), default=0)
+    cs = list(map(_coeffs, weights))
     parity = [s for s in (0, 1) if not any(any(v[1 - s :: 2]) for v in cs)]
-    h = _packing_h(bound, 2 if parity else 1)
-    entries = build([_pack(v, h) for v in cs])
-    if not parity:
-        return _unpack(entries, h)
-    return _unpack(entries, h, [parity[0] * g % 2 for g in gaps])
+    offsets = [parity[0] * g % 2 for g in gaps] if parity else None
+    majorant = max(build(_norms(cs)), default=0)
+    return _kronecker(lambda h, ws: build(ws), [cs], majorant, offsets)
 
 
 def admissible_table(w: WeightSpec, max_n: int) -> tuple:
@@ -221,7 +215,9 @@ def parse_weight_spec(text: str) -> WeightSpec:
             if key.strip() != "tail" or not eq:
                 raise ValueError(f"bad weight spec {text!r}: expected ';tail=<value>'")
             tail = _parse_value(tail_value)
-        values = [_parse_value(tok) for tok in body.split(",") if tok.strip()]
+        # an empty prefix has no values; an empty value inside one would
+        # shift every later height
+        values = [_parse_value(tok) for tok in body.split(",")] if body.strip() else []
         return Explicit(tuple(values), tail)
     m = _SHIFT_RE.match(head)
     if m:

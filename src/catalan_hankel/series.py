@@ -8,12 +8,9 @@ a series is kept homogeneous: one Polynomial coefficient coerces the rest.
 Products and reciprocals have one kernel each, on ints: every output
 coefficient is one builtin ``sum(map(mul, ...))``, so a product of order t
 is a plain truncated convolution of t**2 / 2 multiplies, whatever its
-operands hold.  Over Z[c] the same kernels run on the operands' values at
-c = 2**h (Kronecker substitution), and every output value is read back as
-balanced digits (``ring._unpack``, which the triangle shares), with h from
-a norm majorant and halved when every coefficient holds only odd or only
-even powers of c in step with its index (see ``_kronecker``).  Nothing is
-divided while packed.
+operands hold.  Over Z[c] the same kernels run through ``ring._kronecker``,
+which owns the packing; this module gives it only a norm majorant and the
+outputs' parity in c (``_offsets``).  Nothing is divided while packed.
 
 The generating function A(x) = sum a_n x^n of weighted Motzkin paths with
 constant level weight c satisfies A = 1 + c*x*A + x^2*A^2.  A is algebraic,
@@ -27,9 +24,9 @@ linear recurrence that walks from A^0 = 1 and A^1 = A up to any positive
 power or down to any reciprocal power.  motzkin_power combines the two, so
 A^e costs O(order + |e| * order) ring operations; the closed radical form
 is never used (square roots leave the ring).  For an int c both run on
-ints.  Over Z[c] the P-recurrence runs on int coefficient lists in c, each
-coefficient divided by n+2 with its remainder checked, and the walk, which
-only adds and multiplies, runs packed.
+ints.  Over Z[c] the P-recurrence runs on int coefficient lists in c
+(``ring._convolve``), each coefficient divided by n+2 with its remainder
+checked, and the walk, which only adds and multiplies, runs packed.
 """
 
 from __future__ import annotations
@@ -42,10 +39,12 @@ from .ring import (
     NotDivisibleError,
     Polynomial,
     RingElement,
-    _pack,
-    _packing_h,
+    _coeffs,
+    _convolve,
+    _kronecker,
+    _norms,
     _poly_from_list,
-    _unpack,
+    _terms,
     as_poly,
     exact_div,
 )
@@ -64,7 +63,7 @@ class TruncatedSeries:
         cs = tuple(coeffs)
         if not cs:
             raise ValueError("a series stores at least its constant term")
-        if any(isinstance(v, Polynomial) for v in cs):
+        if Polynomial in map(type, cs):
             cs = tuple(as_poly(v) for v in cs)
         object.__setattr__(self, "coeffs", cs)
 
@@ -143,9 +142,11 @@ class TruncatedSeries:
         t = min(self.order, other.order)
         a, b = self.coeffs[:t], other.coeffs[:t]
         if isinstance(a[0], Polynomial) or isinstance(b[0], Polynomial):
-            ca, cb = _coeffs(a), _coeffs(b)
-            majorant = _mul_int(_norms(ca), _norms(cb))
-            return TruncatedSeries(_kronecker(lambda h, a, b: _mul_int(a, b), [ca, cb], majorant))
+            ops = [list(map(_coeffs, a)), list(map(_coeffs, b))]
+            majorant = max(_mul_int(*map(_norms, ops)))
+            return TruncatedSeries(
+                _kronecker(lambda h, a, b: _mul_int(a, b), ops, majorant, _offsets(ops, t))
+            )
         return TruncatedSeries(_mul_int(a, b))
 
     __rmul__ = __mul__
@@ -174,10 +175,12 @@ class TruncatedSeries:
                 f"constant term {u0} is not a unit (need +1 or -1)"
             )
         if isinstance(u0, Polynomial):
-            cu = _coeffs(self.coeffs)
-            majorant = _reciprocal_int([-x for x in _norms(cu)], 1)
+            ops = [list(map(_coeffs, self.coeffs))]
+            majorant = max(_reciprocal_int([-x for x in _norms(ops[0])], 1))
             return TruncatedSeries(
-                _kronecker(lambda h, u: _reciprocal_int(u, inv0), [cu], majorant)
+                _kronecker(
+                    lambda h, u: _reciprocal_int(u, inv0), ops, majorant, _offsets(ops, self.order)
+                )
             )
         return TruncatedSeries(_reciprocal_int(self.coeffs, inv0))
 
@@ -213,80 +216,33 @@ def _reciprocal_int(u, inv0: int) -> list:
     return out
 
 
-# -- Z[c] by Kronecker substitution ---------------------------------------------
+# -- Z[c] through ring._kronecker ------------------------------------------------
 #
-# Putting c = 2**h maps Z[c] into Z and respects + and *, so a product or a
-# reciprocal over Z[c] is the int kernel run on its operands' values at
-# c = 2**h, and each output coefficient is read back from its value as
-# balanced base 2**h digits.  That is exact when every coefficient is below
-# 2**(h - 1) in size, so h >= B, B one bit past a majorant (ring._packing_h
-# rounds it up to whole bytes): the norm of an
-# element (the sum of its coefficients' sizes) is at most the sum or product
-# of the norms of its parts, so the int product of the operands' norm
-# series, or 1 / (1 - sum_{j>=1} |u_j| x^j) for a reciprocal, bounds every
-# output coefficient's norm.  Parity in c halves h.  When every term c^d of
-# coefficient n of each operand has d = n + s (mod 2), one s per operand
-# (A^e, 1/A^e, x A^e, 1 - c x), every term of output coefficient n has
-# d = n + s_a + s_b: it is c^r q(c^2) with r = (n + s_a + s_b) mod 2, its value
-# is 2**(h r) q(2**(2h)), and the digits of q in base 2**(2h) need only
-# 2h >= B.  Each operand with a parity is packed the same way, as q at 2**(2h)
-# shifted by h r, which halves the terms to pack.
+# A majorant bounds every output coefficient's norm: the norm of an element
+# is at most the sum or product of the norms of its parts, so the int
+# product of the operands' norm series, or 1 / (1 - sum_{j>=1} |u_j| x^j)
+# for a reciprocal, is one.  Parity in c lets the driver halve h: when every
+# term c^d of coefficient n of each operand has d = n + s (mod 2), one s per
+# operand (A^e, 1/A^e, x A^e, 1 - c x), every term of output coefficient n
+# has d = n + s_a + s_b.
 
 
-def _coeffs(series) -> list:
-    """The coefficient tuple in c of each ring element of series."""
-    return [v.coeffs if isinstance(v, Polynomial) else (v,) for v in series]
-
-
-def _norms(cs: list) -> tuple:
-    """The sum of the sizes of each element's coefficients."""
-    return tuple(sum(map(abs, v)) for v in cs)
-
-
-def _parity(cs: list):
-    """The s in (0, 1) such that every nonzero term c^d of cs[n] has
-    d = n + s (mod 2), 0 if both do; None if neither does."""
-    for s in (0, 1):
-        if not any(any(v[(n + s + 1) % 2 :: 2]) for n, v in enumerate(cs)):
-            return s
-    return None
-
-
-def _pack_series(cs: list, s, h: int) -> tuple:
-    """Each coefficient of cs at c = 2**h; with parity s, coefficient n is
-    c^r q(c^2) for r = (n + s) mod 2, packed as q at c^2 = 2**(2h)."""
-    if s is None:
-        return tuple(_pack(v, h) for v in cs)
-    return tuple(
-        _pack(v[(n + s) % 2 :: 2], 2 * h) << h * ((n + s) % 2) for n, v in enumerate(cs)
-    )
-
-
-def _kronecker(kernel, operands: list, majorant) -> list:
-    """The kernel over Z[c], as Polynomials: kernel(h, *values) computes on
-    int series with + and * alone, and runs on each operand (a list of
-    coefficient tuples) at c = 2**h; it gets h to multiply by powers of c
-    with shifts.  No output coefficient is larger than max(majorant); if
-    every operand has a parity s (see _parity), the outputs have the sum of
-    them."""
-    parities = [_parity(cs) for cs in operands]
-    parity = None if None in parities else sum(parities)
-    h = _packing_h(max(majorant), 1 if parity is None else 2)
-    values = kernel(h, *(_pack_series(cs, s, h) for cs, s in zip(operands, parities)))
-    if parity is None:
-        return _unpack(values, h)
-    return _unpack(values, h, [(n + parity) % 2 for n in range(len(values))])
+def _offsets(operands: list, count: int):
+    """r = d mod 2 for the terms c^d of each of count outputs of a series
+    kernel on operands (lists of coefficient lists), or None when some
+    operand has no parity s."""
+    total = 0
+    for cs in operands:
+        for s in (0, 1):
+            if not any(any(v[(n + s + 1) % 2 :: 2]) for n, v in enumerate(cs)):
+                total += s
+                break
+        else:
+            return None
+    return [(n + total) % 2 for n in range(count)]
 
 
 # -- the Motzkin series A and its powers -----------------------------------------
-
-
-def _add_product(out: list, a: list, b, scale: int) -> None:
-    """out += scale * a * b for int coefficient lists a and b, out at least
-    len(a) + len(b) - 1 long."""
-    for j, v in enumerate(b):
-        if v:
-            out[j : j + len(a)] = map(add, out[j : j + len(a)], map(mul, a, repeat(scale * v)))
 
 
 def _motzkin_coeffs(cval: int, order: int) -> list:
@@ -305,15 +261,15 @@ def _motzkin_lists(cv: tuple, order: int) -> list:
     holding c's coefficients, by the P-recurrence: every coefficient of
     (n+2) a_n is divided by n+2, and a nonzero remainder raises
     NotDivisibleError."""
-    disc = [0] * max(2 * len(cv) - 1, 1)
-    _add_product(disc, list(cv), cv, 1)
+    c = _terms(cv)
+    disc = _convolve(max(2 * len(cv) - 1, 1), (c,), (c,))
     disc[0] -= 4
     coeffs: list = [[1], list(cv)][:order]
     for n in range(2, order):
         p, q = coeffs[n - 1], coeffs[n - 2]
-        num = [0] * max(len(p) + len(cv) - 1, len(q) + len(disc) - 1)
-        _add_product(num, p, cv, 2 * n + 1)
-        _add_product(num, q, disc, 1 - n)
+        width = max(len(p) + len(cv) - 1, len(q) + len(disc) - 1)
+        scaled = (_terms(cv, 2 * n + 1), _terms(disc, 1 - n))
+        num = _convolve(width, scaled, (_terms(p), _terms(q)))
         if any(map(mod, num, repeat(n + 2))):
             raise NotDivisibleError(f"(n + 2) a_n at n = {n} is not divisible by {n + 2}")
         coeffs.append(list(map(floordiv, num, repeat(n + 2))))
@@ -360,18 +316,16 @@ def motzkin_power(cval: RingElement, exponent: int, order: int) -> TruncatedSeri
     # has A's parity, and A is the walk's one operand.  At c = 2**h the walk
     # multiplies by c term by term, x c^d v as x v << d h: a shift, where a
     # product with c's packed value costs a pass over v per 30 bits of it.
-    norm_c = sum(map(abs, cval.coeffs))
-    majorant = _walk(list(_norms(a)), functools.partial(mul, norm_c), exponent, add)
+    norm_c = _norms([cval.coeffs])[0]
+    majorant = max(_walk(_norms(a), functools.partial(mul, norm_c), exponent, add))
 
     def kernel(h, packed):
-        terms = [(d * h, x) for d, x in enumerate(cval.coeffs) if x]
+        terms = [(d * h, x) for d, x in _terms(cval.coeffs)]
         return _walk(
-            list(packed),
-            lambda v: sum([v << s if x == 1 else x * v << s for s, x in terms]),
-            exponent,
+            packed, lambda v: sum([v << s if x == 1 else x * v << s for s, x in terms]), exponent
         )
 
-    return TruncatedSeries(_kronecker(kernel, [a], majorant))
+    return TruncatedSeries(_kronecker(kernel, [a], majorant, _offsets([a], order)))
 
 
 def motzkin_series(cval: RingElement, order: int) -> TruncatedSeries:

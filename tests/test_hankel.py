@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from catalan_hankel import hankel
+from catalan_hankel import hankel, ring
 from catalan_hankel.hankel import (
     InternalDivisionError,
     det_fraction_free,
@@ -41,7 +41,7 @@ def minors(rows):
     holding c goes in as coefficient lists, the way ``hankel_minors`` hands
     a Hankel matrix over Z[c] to the kernel."""
     if any(isinstance(v, Polynomial) for row in rows for v in row):
-        return hankel._minors([[hankel._coeffs(v) for v in row] for row in rows])
+        return hankel._minors([[ring._coeffs(v) for v in row] for row in rows])
     return hankel._minors([list(row) for row in rows])
 
 
@@ -435,7 +435,7 @@ def test_zc_minors_of_a_rank_one_hankel_matrix_are_zero_polynomials():
 
 def test_exact_div_over_zc():
     def div(num, den):
-        return hankel._exact_div(list(num), hankel._terms(den))
+        return ring._exact_div(list(num), ring._terms(den))
 
     assert div([-1, 0, 1], [-1, 1]) == [1, 1]  # (c^2 - 1) / (c - 1)
     assert div([0, 0, 6], [0, 2]) == [0, 3]
@@ -452,14 +452,14 @@ def test_exact_div_over_zc():
 
 @given(SMALL_POLY, SMALL_POLY.filter(bool))
 def test_exact_div_inverts_a_product(a, b):
-    assert hankel._exact_div(list((a * b).coeffs), hankel._terms(list(b.coeffs))) == list(
+    assert ring._exact_div(list((a * b).coeffs), ring._terms(list(b.coeffs))) == list(
         a.coeffs
     )
 
 
 def _fault(kind):
     # the real division, after spoiling a numerator whose divisor is not 1
-    real = hankel._exact_div
+    real = ring._exact_div
 
     def spoiled(num, den):
         if den != [(0, 1)]:

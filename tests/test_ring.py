@@ -1,4 +1,5 @@
 import math
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,9 @@ from catalan_hankel.ring import (
     C,
     NotDivisibleError,
     Polynomial,
+    _coeffs,
+    _kronecker,
+    _norms,
     _pack,
     _packing_h,
     _unpack,
@@ -316,3 +320,33 @@ def test_pack_of_no_terms_and_one_term():
     assert _pack((), 8) == 0
     assert _pack((-5,), 8) == -5
     assert _pack((1, -1, 0, 3, 0), 8) == 1 - (1 << 8) + (3 << 24)
+
+
+# -- the one driver: pack, run an int kernel, unpack -------------------------------
+
+parity_lists = st.tuples(st.sampled_from([0, 1]), coeff_lists).map(
+    lambda rv: [0 if (d + rv[0]) % 2 else x * 2**40 for d, x in enumerate(rv[1])]
+)
+
+
+@given(st.lists(st.tuples(parity_lists, parity_lists), min_size=1, max_size=6), st.booleans())
+def test_kronecker_products_read_each_elements_parity(pairs, stride):
+    # elementwise products; with the stride, each element's parity is read
+    # off the element itself, and the outputs' offsets are their sums
+    a = [_coeffs(Polynomial(x)) for x, _ in pairs]
+    b = [_coeffs(Polynomial(y)) for _, y in pairs]
+    majorant = max(x * y for x, y in zip(_norms(a), _norms(b)))
+    offsets = None
+    if stride:
+        low = [min([d for d, x in enumerate(v) if x], default=0) % 2 for v in a + b]
+        offsets = [(r + s) % 2 for r, s in zip(low[: len(a)], low[len(a) :])]
+    got = _kronecker(lambda h, xs, ys: list(map(mul, xs, ys)), [a, b], majorant, offsets)
+    assert got == [Polynomial(x) * Polynomial(y) for x, y in pairs]
+
+
+def test_kronecker_shifts_by_powers_of_c_with_h():
+    # kernel(h, ...) multiplies by c as a shift of h bits
+    cs = [_coeffs(v) for v in (C - 3 * C**3, C**2, 0)]
+    times_c = lambda h, vs: [v << h for v in vs]  # noqa: E731
+    assert _kronecker(times_c, [cs], 4, [0, 1, 1]) == [C**2 - 3 * C**4, C**3, 0]
+    assert _kronecker(times_c, [cs], 4) == [C**2 - 3 * C**4, C**3, 0]

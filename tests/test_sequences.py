@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
+from catalan_hankel.cli import main
 from catalan_hankel.ring import C, Polynomial
 from catalan_hankel.sequences import (
     Constant,
@@ -254,6 +255,26 @@ def test_parse_describe_round_trip(text):
 def test_parse_errors(text):
     with pytest.raises(ValueError):
         parse_weight_spec(text)
+
+
+@pytest.mark.parametrize("text", ["explicit:1,,2", "explicit:1,2,;tail=0", "explicit:,1"])
+def test_parse_rejects_an_empty_value_in_a_prefix(text):
+    # dropping it would read explicit:1,2 and shift every later height
+    with pytest.raises(ValueError, match="bad weight value ''"):
+        parse_weight_spec(text)
+
+
+def test_parse_empty_prefix_is_the_tail_alone():
+    w = parse_weight_spec("explicit:;tail=3")
+    assert w == Explicit((), 3)
+    assert w.describe() == "explicit:;tail=3"
+
+
+def test_cli_rejects_an_empty_weight_value(capsys):
+    assert main(["seq", "--weights", "explicit:1,,2", "--n", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad weight value ''" in captured.err
 
 
 def test_describe_golden():

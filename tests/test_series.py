@@ -276,14 +276,15 @@ def test_zc_motzkin_power_matches_generic_walk_and_quadratic(cval):
 def test_spoiled_p_recurrence_step_raises(monkeypatch, capsys):
     # one coefficient of (n + 2) a_n, at n = 7, is off by one: its remainder
     # mod 9 is checked, so neither the series nor the CLI returns a value
-    real = series._add_product
+    real = series._convolve
 
-    def spoiled(out, a, b, scale):
-        real(out, a, b, scale)
-        if scale == 1 - 7:
+    def spoiled(width, left, right):
+        out = real(width, left, right)
+        if (2, 1 - 7) in left[-1]:  # the step whose (1 - n)(c^2 - 4) has n = 7
             out[-1] += 1
+        return out
 
-    monkeypatch.setattr(series, "_add_product", spoiled)
+    monkeypatch.setattr(series, "_convolve", spoiled)
     assert motzkin_power(C, 1, 7) == motzkin_power_generic(C, 1, 7)
     with pytest.raises(NotDivisibleError, match="not divisible by 9"):
         motzkin_power(C, 1, 8)
