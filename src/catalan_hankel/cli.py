@@ -2,8 +2,9 @@
 
 Exit codes: 0 for success (and, for verify, every claim verified), 1 when a
 verification run records failures or refutations, 2 for usage errors and
-for arithmetic faults (an inexact or zero division).  Computation results
-go to stdout, diagnostics to stderr.
+for arithmetic faults (an inexact or zero division), and 141 (128 +
+SIGPIPE) from the console entry point when the reader closes stdout.
+Computation results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 
 from .hankel import InternalDivisionError, hankel_det, table_depth
@@ -23,6 +25,10 @@ from .series import motzkin_power
 from . import verify as verify_mod
 from .verify import CLAIM_IDS, CLAIMS, CheckReport
 
+# Timings of the edge shapes below are from EDGES_pr21.json
+# (scripts/edge_times.py): subprocess wall time and peak RSS, two runs each,
+# on a shared 2-core VM, unless a figure says otherwise.
+
 #: Largest `series --k` accepted: A^(k+1) and 1/A^(k+1) cost about k+1
 #: passes over the series.
 SERIES_MAX_K = 1000
@@ -31,25 +37,25 @@ SERIES_MAX_ORDER = 10000
 #: Bound on (k + 16) * (order + 2k)**3 for `series --c sym`: coefficient n
 #: is a polynomial of degree n, each of the k + 1 passes costs about
 #: length**3 (lengths up to order + 2k) and printing about 15 more.  Order
-#: 1400 at k 0: 2.7 s, 0.44 GB; the slowest shape timed, order 1028 at k 20:
-#: 5.7-6.1 s, 0.35 GB; order 523 at k 100: 3.0-3.1 s, 0.11 GB.
+#: 1400 at k 0: 2.5-2.7 s, 0.44 GB; the slowest shape timed, order 1028 at
+#: k 20: 5.0-5.5 s, 0.34 GB; order 523 at k 100: 2.6 s, 0.11 GB.
 SERIES_MAX_SYMBOLIC_WORK = 16 * 1400**3
-#: Largest `seq --n` (const:1: 0.6 s, 20 MB), `table --n-max` (const:1 as
-#: json: 2 s, 0.35 GB) and `det --n` (const:3: 2.0-2.4 s) accepted; `det` is
-#: also held to TABLE_MAX_N for the triangle depth 2(n-1)+m it reads.
+#: Largest `seq --n` (const:1: 0.3 s, 20 MB), `table --n-max` (const:1 as
+#: json: 1.2-1.3 s, 0.35 GB) and `det --n` (const:3: 1.5 s) accepted; `det`
+#: is also held to TABLE_MAX_N for the triangle depth 2(n-1)+m it reads.
 SEQ_MAX_N, TABLE_MAX_N, DET_MAX_N = 2000, 1000, 300
 #: Weights holding c admit a fifth of each of those: entries are then
-#: polynomials (const:c: `seq --n 400` 1.0-1.2 s and 31 MB, `table --n-max
-#: 200` 1.3 s and 95 MB; `det --n 60` 2.0-2.3 s, 7.5-8.7 s with `--m 1`
-#: and 25-28 s with `--m 3 --k 2`).
+#: polynomials (const:c: `seq --n 400` 0.7 s and 31 MB, `table --n-max
+#: 200` 0.8-0.9 s and 94 MB; `det --n 60` 1.0 s, 3.9 s with `--m 1` and
+#: 17-18 s with `--m 3 --k 2`).
 SYMBOLIC_SHARE = 5
 #: Integer weights of b bits at the heights used lower each size ceiling to
 #: the largest n with n**3 * (b + 1) * (b + 250) <= WEIGHT_BITS_WORK *
 #: ceiling**3: entries grow by about b + 1 bits a row, and printing one in
 #: decimal costs about its length squared / 250 on top of building it.  The
 #: value at b = 2 keeps the ceilings for weights up to 3 in size.  At the
-#: edge: `det const:1000000 --n 153` 1.4-1.5 s, `seq const:10^1000 --n 79` 4 s,
-#: `table --n-max 182` of 248-bit weights (the slowest shape) 10 s.
+#: edge: `det const:1000000 --n 153` 1.1 s, `seq const:10^1000 --n 79` 2.7-2.8
+#: s, `table --n-max 182` of 248-bit weights (the slowest shape) 7.8-7.9 s.
 WEIGHT_BITS_WORK = 3 * 252
 #: The range of each verify bound flag, by argparse dest, checked for every
 #: claim a run names before any claim runs.  The weights a claim computes
@@ -57,15 +63,15 @@ WEIGHT_BITS_WORK = 3 * 252
 #: claim's default: --c for the claims that take it, and theorem1's
 #: --weights at the heights 0..2 n_max + m_max it reads.  One flag at its
 #: ceiling, the others at their defaults, c = 1, the slowest claim takes:
-#: --n-max 100 83-88 s (lemma13, at the order 207 it then needs; theorem1
-#: 18 s), --k-max 100 2.7-3.4 s (theorem2), --m-max 50 4.2-4.4 s (lemma13),
-#: --trials 10000 3.5-4.2 s (theorem1), --order 500 1.9-2.3 s (lemma13); with
-#: --c sym, --order 100 0.4 s (series_identities) and --n-max 20 1.9 s
-#: (theorem2); theorem1 --weights const:c --n-max 20 0.5 s.  The largest
-#: symbolic product of flags admitted, series_identities --c sym --k-max 20
-#: --order 100, takes 1.3-1.4 s (subprocess wall time, shared 2-core VM).
-#: At the edges of the weight-bit rule theorem2 takes 3.4-4.2 s for c = 10**6
-#: (--n-max 51) and 0.7 s for c = 10**200 (--n-max 10); without the lowering,
+#: --n-max 100 53-54 s (lemma13, at the order 207 it then needs; theorem1
+#: 12 s), --k-max 100 2.1-2.3 s (theorem2), --m-max 50 2.6 s (lemma13),
+#: --trials 10000 2.6-3.1 s (theorem1), --order 500 1.2 s (lemma13); with
+#: --c sym, --order 100 0.4 s (series_identities, an older timing) and
+#: --n-max 20 1.2 s (theorem2); theorem1 --weights const:c --n-max 20 0.4 s.
+#: The largest symbolic product of flags admitted, series_identities --c sym
+#: --k-max 20 --order 100, takes 1.1 s.  At the edges of the weight-bit rule
+#: theorem2 takes 2.3 s for c = 10**6 (--n-max 51) and 0.5 s for c = 10**200
+#: (--n-max 10); in older timings without the lowering,
 #: theorem2 --c 10**6 --n-max 100 takes 93-100 s; at c = 10**200, and theorem1
 #: with --weights const:c or const:10**1000 (1 GB), --n-max 100 did not
 #: finish in 300 s with whole-row elimination, about half as fast.
@@ -82,12 +88,11 @@ VERIFY_RANGES = {
 #: about sum((n_max + M + 2)**4 for M <= m_max), the eliminations of each
 #: shift M, plus 50 order**2 for lemma13's reciprocal series, at about
 #: 2e-9 s a unit (fitted to single trials, c = 1, 2-core VM).  The slowest
-#: run admitted is lemma13 --n-max 100 (order 207): 0.83-0.88 s a trial,
-#: 83-88 s in all.  Refused, for instance: theorem1 --trials 10000 --n-max
-#: 100 (0.46 s a trial), theorem1 --m-max 50 --n-max 50 (3.0-3.4 s a
-#: trial), and lemma13 --trials 10000 with --n-max 100 or with --order 500
-#: (19-23 ms a trial).  Integer timings here are subprocess wall times, two
-#: runs each, on a 2-core VM.
+#: run admitted is lemma13 --n-max 100 (order 207): 0.53-0.54 s a trial,
+#: 53-54 s in all.  Refused, for instance (older timings): theorem1 --trials
+#: 10000 --n-max 100 (0.46 s a trial), theorem1 --m-max 50 --n-max 50
+#: (3.0-3.4 s a trial), and lemma13 --trials 10000 with --n-max 100 or with
+#: --order 500 (19-23 ms a trial).
 WORK_BOUND_CLAIMS = ("lemma13", "theorem1")
 
 _WITNESS_LINE_CAP = 50
@@ -438,4 +443,12 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the flush at exit
+        # cannot raise again, and exit as a shell reports SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

@@ -6,21 +6,20 @@ The triangle a[n][k] grows by the three-term step
     a[n][k] = a[n-1][k-1] + s_k * a[n-1][k] + a[n-1][k+1]
 
 from a[0][k] = [k == 0], which counts weighted 3-step lattice paths
-(up/down/level, level steps at height j weighing s_j).  Two readers share
-the one row step: ``columns`` streams the few columns a determinant or a
-dump needs, holding one row at a time, and ``admissible_table`` keeps every
-row, for printing the whole triangle.
+(up/down/level, level steps at height j weighing s_j).  One reader builds
+it: ``columns`` streams the columns a determinant or a dump needs, holding
+one row at a time, and ``admissible_table`` is the rows of every column,
+for printing the whole triangle.
 
-The step runs on ints only.  When a weight holds c, both readers run it
-through ``ring._kronecker``, which owns the packing, and ``_packed`` gives
-it a majorant and the entries' parity in c.  The step never divides.
+The step runs on ints only.  When a weight holds c, ``columns`` runs it
+through ``ring._kronecker``, which owns the packing, with a majorant and the
+entries' parity in c.  The step never divides.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
 
 from .ring import C, Polynomial, RingElement, _coeffs, _kronecker, _norms, render
 
@@ -110,57 +109,31 @@ def _next_row(prev: tuple, weights) -> tuple:
     )
 
 
-def _rows(weights: list, max_n: int) -> list:
-    rows = [(1,)]
-    for _ in range(max_n):
-        rows.append(_next_row(rows[-1], weights))
-    return rows
-
-
 def _columns(weights: list, ks: list, depth: int) -> dict:
-    # row r keeps only heights up to max(ks) + depth - r (see columns)
-    out = {k: [] for k in ks}
+    # a[r][k] = 0 for r < k, so column k starts with k zeros and row r is
+    # read only at k <= r; row r keeps only heights up to max(ks) + depth - r
+    # (see columns)
+    out = {k: [0] * min(k, depth + 1) for k in ks}
+    live = sorted(out.items())
     reach = max(ks, default=0) + depth
     row = (1,)
     for r in range(depth + 1):
         if r:
             row = _next_row(row, weights[: reach - r + 1])
-        for k, values in out.items():
-            values.append(row[k] if k < len(row) else 0)
+        for k, values in live:
+            if k > r:
+                break
+            values.append(row[k])
     return out
 
 
-def _packed(weights: list, build, gaps: list) -> list:
-    """build(weights) over Z[c], as Polynomials: build returns triangle
-    entries as one list, entry i in row n and column k with n - k = gaps[i].
-
-    The majorant is build run on the weights' norms: the norm of an entry is
-    at most the sum over its paths of the products of their level weights'
-    norms.  When every weight holds only powers c^d with d = s (mod 2), an
-    entry holds only d = s (n - k) (mod 2).
-    """
-    cs = list(map(_coeffs, weights))
-    parity = [s for s in (0, 1) if not any(any(v[1 - s :: 2]) for v in cs)]
-    offsets = [parity[0] * g % 2 for g in gaps] if parity else None
-    majorant = max(build(_norms(cs)), default=0)
-    return _kronecker(lambda h, ws: build(ws), [cs], majorant, offsets)
-
-
 def admissible_table(w: WeightSpec, max_n: int) -> tuple:
-    """The whole triangle as rows 0..max_n; row n holds a[n][0..n]."""
+    """The whole triangle as rows 0..max_n; row n holds a[n][0..n], read off
+    ``columns`` of every height."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    weights = [w.at(k) for k in range(max_n + 1)]
-    if Polynomial not in map(type, weights):
-        return tuple(_rows(weights, max_n))
-    entries = iter(
-        _packed(
-            weights,
-            lambda ws: [v for row in _rows(ws, max_n) for v in row],
-            [n - k for n in range(max_n + 1) for k in range(n + 1)],
-        )
-    )
-    return tuple(tuple(islice(entries, n + 1)) for n in range(max_n + 1))
+    cols = columns(w, range(max_n + 1), max_n)
+    return tuple(row[: n + 1] for n, row in enumerate(zip(*cols.values())))
 
 
 def columns(w: WeightSpec, ks, depth: int) -> dict:
@@ -178,12 +151,25 @@ def columns(w: WeightSpec, ks, depth: int) -> dict:
     weights = [w.at(h) for h in range(depth + 1)]
     if Polynomial not in map(type, weights):
         return _columns(weights, ks, depth)
-    entries = _packed(
-        weights,
-        lambda ws: [v for values in _columns(ws, ks, depth).values() for v in values],
-        [r - k for k in ks for r in range(depth + 1)],
-    )
-    return {k: entries[i * (depth + 1) : (i + 1) * (depth + 1)] for i, k in enumerate(ks)}
+
+    def flat(ws):
+        # a[r][k] for r >= k only: the zeros above them are not packed
+        return [v for k, values in _columns(ws, ks, depth).items() for v in values[k:]]
+
+    # Over Z[c] the step runs at c = 2**h.  The majorant is the step run on
+    # the weights' norms: the norm of an entry is at most the sum over its
+    # paths of the products of their level weights' norms.  When every
+    # weight holds only powers c^d with d = s (mod 2), a[r][k] holds only
+    # d = s (r - k) (mod 2).
+    cs = list(map(_coeffs, weights))
+    parity = [s for s in (0, 1) if not any(any(v[1 - s :: 2]) for v in cs)]
+    offsets = [parity[0] * (r - k) % 2 for k in ks for r in range(k, depth + 1)] if parity else None
+    majorant = max(flat(_norms(cs)), default=0)
+    entries = iter(_kronecker(lambda h, ws: flat(ws), [cs], majorant, offsets))
+    zero = Polynomial()
+    return {
+        k: [zero] * min(k, depth + 1) + [next(entries) for _ in range(k, depth + 1)] for k in ks
+    }
 
 
 _SHIFT_RE = re.compile(r"^shift(?:\^(\d+))?$")

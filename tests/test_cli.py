@@ -763,6 +763,18 @@ def test_console_entry_point():
     assert proc.stdout.strip() == "1,1,2,4,9"
 
 
+def test_closed_stdout_exits_141_quietly():
+    # 3 MB of rows: far more than a pipe holds, so writing outlives the reader
+    argv = ["table", "--weights", "const:1", "--n-max", "300"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "catalan_hankel", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.readline() == b"n=0: 1\n"
+    proc.stdout.close()
+    assert (proc.wait(), proc.stderr.read()) == (141, b"")
+    proc.stderr.close()
+
+
 _MIXED_ARGVS = [
     ["seq", "--weights", "const:1", "--n", "5"],
     ["verify", "nonsense"],

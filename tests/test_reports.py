@@ -113,6 +113,35 @@ def test_symbolic_dump_output_is_pinned(capsys, argv, digest):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
+# whole triangles read off the columns: integer weights in each format, and
+# const:c, whose entries hold one parity of powers of c (packed halved)
+_TABLES = [
+    (
+        "table --weights const:1 --n-max 300",
+        "d4837b0e28fe30263440351bc5c3b876720a903333be041c8453362ecad8d66f",
+    ),
+    (
+        "table --weights explicit:2,-1,0;tail=3 --n-max 150 --format csv",
+        "e787b8a84b1e1c0c75f1cf9e8677176229f4471e9cdecff354585a5521aeff6f",
+    ),
+    (
+        "table --weights const:-2 --n-max 120 --format json",
+        "71b70f073cb029a1d6a738ae0793988eb4aee9083214d13a96cafcee08f82a0a",
+    ),
+    (
+        "table --weights const:c --n-max 60 --format csv",
+        "047738e939355ab62b68d926c2341f061fdf3683d04980a3c861075c25b423ea",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _TABLES, ids=["text", "csv", "json", "const-c"])
+def test_table_output_is_pinned(capsys, argv, digest):
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
 # integer claims at `grid-int` sizes, beyond the CLI defaults: Hankel
 # matrices up to n = 30, zero pivots and pivots of 1 and -1
 _VERIFY_INT = [

@@ -108,11 +108,9 @@ COLUMN_SPECS = st.one_of(
 @example(Constant(1), [0, 3, 7], 0)
 @example(Constant(C), [2, 9], 12)
 def test_columns_match_the_whole_triangle(w, ks, depth):
-    rows = admissible_table(w, depth)
     cols = columns(w, ks, depth)
     assert set(cols) == set(ks)
-    for k in ks:
-        assert cols[k] == [rows[r][k] if k <= r else 0 for r in range(depth + 1)]
+    assert cols == columns_generic(w, ks, depth)
 
 
 # -- the packed Z[c] triangle vs the Polynomial-object step ---------------------
