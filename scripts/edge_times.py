@@ -34,11 +34,14 @@ from pathlib import Path
 from bench_pairs import ROOT, export, export_worktree
 
 #: The edge shapes: the ceilings' timings in cli.py's comments, the slow
-#: shapes the ROADMAP cites, and the whole-triangle dumps.
+#: shapes the ROADMAP cites, the whole-triangle dumps, and the integer-c
+#: series that no work bound covers.
 SHAPES = [
     "series --c sym --k 0 --order 1400",
     "series --c sym --k 20 --order 1028",
     "series --c sym --k 100 --order 523",
+    "series --c 1000000 --order 4000",
+    f"series --c {10**100} --order 1000",
     "seq --weights const:1 --n 2000",
     "seq --weights const:c --n 400",
     f"seq --weights const:{10**1000} --n 79",

@@ -58,8 +58,9 @@ SYMBOLIC_SHARE = 5
 #: s, `table --n-max 182` of 248-bit weights (the slowest shape) 7.8-7.9 s.
 WEIGHT_BITS_WORK = 3 * 252
 #: The range of each verify bound flag, by argparse dest, checked for every
-#: claim a run names before any claim runs.  The weights a claim computes
-#: with lower its ceilings as for seq/table/det, but never below the
+#: claim a run names before any claim runs, as is the least --order that
+#: lemma13 and series_identities take at their other bounds.  The weights a
+#: claim computes with lower its ceilings as for seq/table/det, but never below the
 #: claim's default: --c for the claims that take it, and theorem1's
 #: --weights at the heights 0..2 n_max + m_max it reads.  One flag at its
 #: ceiling, the others at their defaults, c = 1, the slowest claim takes:
@@ -134,14 +135,12 @@ def _format_values(values, fmt, meta):
     return json.dumps({**meta, "values": [_json_value(v) for v in values]}, indent=2)
 
 
-def emit_report(report: CheckReport, fmt: str) -> str:
-    """Render a CheckReport as text, json, or csv (one row per witness)."""
-    if fmt == "json":
-        return report.to_json()
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["claim_id", "status", "category", "params", "lhs", "rhs"])
+def _witness_csv(reports) -> str:
+    """One csv header, then a row per witness of each report in turn."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["claim_id", "status", "category", "params", "lhs", "rhs"])
+    for report in reports:
         for w in report.failures:
             writer.writerow(
                 [
@@ -153,7 +152,15 @@ def emit_report(report: CheckReport, fmt: str) -> str:
                     w.rhs,
                 ]
             )
-        return buf.getvalue().rstrip("\n")
+    return buf.getvalue().rstrip("\n")
+
+
+def emit_report(report: CheckReport, fmt: str) -> str:
+    """Render a CheckReport as text, json, or csv (one row per witness)."""
+    if fmt == "json":
+        return report.to_json()
+    if fmt == "csv":
+        return _witness_csv([report])
     lines = [
         f"{report.claim_id}: {report.status} "
         f"({report.instances_tested} instances, {len(report.failures)} failures)"
@@ -201,6 +208,12 @@ def _claim_call(ns, claim_id, cval):
         w = Constant(cval)
     for name, value in bounds.items():
         _check_range(_flag(name), value, *VERIFY_RANGES[name], w, depth, claim.defaults[name])
+    if "order" in bounds:
+        # in the checker's own words; it keeps this check for library callers
+        least = _least_order(claim_id, bounds)
+        if bounds["order"] < least:
+            what = "order" if claim_id == "series_identities" else "series order"
+            raise ValueError(f"{what} {bounds['order']} too small: need >= {least}")
     if weights is not None:
         return functools.partial(verify_mod.check_theorem1, w, **bounds)
     lead = ns.rng_seed if claim.arg == "seed" else cval
@@ -213,13 +226,15 @@ def _fill_bounds(claim_id, taken, given):
     defaults = CLAIMS[claim_id].defaults
     bounds = {n: defaults[n] if given.get(n) is None else given[n] for n in taken}
     if "order" in bounds and given.get("order") is None:
-        least = (
-            verify_mod.series_min_order(bounds["k_max"])
-            if claim_id == "series_identities"
-            else verify_mod.lemma13_min_order(bounds["n_max"], bounds["m_max"])
-        )
-        bounds["order"] = max(bounds["order"], least)
+        bounds["order"] = max(bounds["order"], _least_order(claim_id, bounds))
     return bounds
+
+
+def _least_order(claim_id, bounds) -> int:
+    """The least --order a claim that takes one admits at its other bounds."""
+    if claim_id == "series_identities":
+        return verify_mod.series_min_order(bounds["k_max"])
+    return verify_mod.lemma13_min_order(bounds["n_max"], bounds["m_max"])
 
 
 def _work(bounds) -> int:
@@ -348,6 +363,8 @@ def _cmd_verify(ns) -> int:
     reports = [call() for call in calls]
     if ns.format == "json" and len(reports) > 1:
         print(json.dumps([r.to_dict() for r in reports], indent=2))
+    elif ns.format == "csv":
+        print(_witness_csv(reports))
     else:
         print("\n".join(emit_report(r, ns.format) for r in reports))
     return 0 if all(r.status == "verified" for r in reports) else 1

@@ -107,13 +107,9 @@ def _pair_step(rows, p: int, r: int, prev):
 #
 # A matrix over Z[c] holds each entry as its coefficient list (ring._coeffs),
 # and each factor is read as its terms once per step or row.  Each new
-# entry's numerator is one ring._convolve, and one ring._exact_div by prev
-# (or prev squared) makes it the entry.
-
-
-def _degree(terms: list) -> int:
-    """The degree of the element given by its terms; -1 for zero."""
-    return terms[-1][0] if terms else -1
+# entry's numerator is one ring._convolve, which sizes the product itself,
+# and one ring._exact_div by prev (or prev squared), which trims any top
+# coefficients that cancel, makes it the entry.
 
 
 def _step_zc(rows, p: int, prev: list) -> None:
@@ -122,15 +118,11 @@ def _step_zc(rows, p: int, prev: list) -> None:
     top = rows[p]
     tops = [_terms(v) for v in top]
     pivot, den = tops[p], _terms(prev)
-    dp = pivot[-1][0]
     for i in range(p + 1, n):
         row = rows[i]
         left = _terms(top[i], -1)
-        dl = _degree(left)
         for j in range(i, n):
-            a = row[j]
-            width = max(dp + len(a), dl + len(top[j]))
-            row[j] = _exact_div(_convolve(width, (pivot, left), (_terms(a), tops[j])), den)
+            row[j] = _exact_div(_convolve((pivot, left), (_terms(row[j]), tops[j])), den)
 
 
 def _pair_step_zc(rows, p: int, r: int, prev: list) -> list:
@@ -141,20 +133,15 @@ def _pair_step_zc(rows, p: int, r: int, prev: list) -> list:
     top, ra = rows[p], rows[a]
     tops, ras = [_terms(v) for v in top], [_terms(v) for v in ra]
     x, minus_y, before = tops[a], _terms(ra[a], -1), _terms(prev)
-    dx, dy = x[-1][0], _degree(minus_y)
-    minus_x2 = _convolve(2 * dx + 1, (_terms(top[a], -1),), (x,))
-    square = _terms(_convolve(2 * len(prev) - 1, (before,), (before,)))
+    minus_x2 = _convolve((_terms(top[a], -1),), (x,))
+    square = _terms(_convolve((before,), (before,)))
     minus_x2_terms = _terms(minus_x2)
     for i in range(a + 1, n):
         row = rows[i]
-        xu = _terms(_convolve(dx + len(top[i]), (x,), (tops[i],)))
-        width = max(dx + len(ra[i]), dy + len(top[i]))
-        xv_yu = _terms(_convolve(width, (x, minus_y), (ras[i], tops[i])))
-        du, dv = _degree(xu), _degree(xv_yu)
+        xu = _terms(_convolve((x,), (tops[i],)))
+        xv_yu = _terms(_convolve((x, minus_y), (ras[i], tops[i])))
         for j in range(i, n):
-            b = row[j]
-            width = max(du + len(ra[j]), dv + len(top[j]), 2 * dx + len(b))
-            minor = _convolve(width, (xu, xv_yu, minus_x2_terms), (ras[j], tops[j], _terms(b)))
+            minor = _convolve((xu, xv_yu, minus_x2_terms), (ras[j], tops[j], _terms(row[j])))
             row[j] = _exact_div(minor, square)
     return _exact_div(minus_x2, before)
 

@@ -17,7 +17,8 @@ This module owns every int form of Z[c] the kernels elsewhere run on:
   their norms, the sum of the coefficients' sizes (``_norms``);
 - terms, the nonzero (degree, value) pairs of a list (``_terms``), with the
   one coefficient-list product (``_convolve``, which ``Polynomial.__mul__``
-  is: schoolbook, as most multipliers here are short or small) and the one
+  is: schoolbook, as most multipliers here are short or small, and sized
+  from its factors, so no caller works out a length) and the one
   exact quotient (``_exact_div``), for the elimination over Z[c] and the
   P-recurrence of the Motzkin series;
 - packed ints, an element's value at c = 2**h (Kronecker substitution),
@@ -121,8 +122,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        return _poly_from_list(_convolve(len(a) + len(b) - 1, (_terms(a),), (_terms(b),)))
+        return _poly_from_list(_convolve((_terms(self.coeffs),), (_terms(other.coeffs),)))
 
     __rmul__ = __mul__
 
@@ -259,11 +259,19 @@ def _terms(cs, scale: int = 1) -> list:
     return [(d, scale * x) for d, x in enumerate(cs) if x]
 
 
-def _convolve(width: int, left, right) -> list:
-    """The width int coefficients of the sum of left[i] * right[i], each
-    factor given as its terms; width exceeds every degree sum of a nonzero
-    pair (a width below 1 holds none)."""
-    acc = [0] * width
+def _convolve(left, right) -> list:
+    """The int coefficients of the sum of left[i] * right[i], each factor
+    given as its terms, lowest degree first.  There are one more of them
+    than the largest degree sum of a pair whose factors are both nonzero,
+    and none when there is no such pair; top coefficients that cancel stay
+    in the list as zeros (``_exact_div`` trims them)."""
+    # a first plain loop sizes the sum: a list of the pairs, or growing acc
+    # in the product loop, costs more on these short factors
+    top = -1
+    for ls, rs in zip(left, right):
+        if ls and rs and ls[-1][0] + rs[-1][0] > top:
+            top = ls[-1][0] + rs[-1][0]
+    acc = [0] * (top + 1)
     for ls, rs in zip(left, right):
         if ls and rs:
             for dl, xl in ls:

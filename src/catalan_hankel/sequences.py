@@ -72,7 +72,11 @@ class Explicit(WeightSpec):
 
 @dataclass(frozen=True)
 class Shifted(WeightSpec):
-    """The base sequence with the first `offset` entries dropped."""
+    """The base sequence with the first `offset` entries dropped.
+
+    A Shifted base is unwrapped, its offset added, so no spec nests and
+    neither ``at`` nor ``describe`` recurses more than once.
+    """
 
     base: WeightSpec
     offset: int
@@ -80,6 +84,9 @@ class Shifted(WeightSpec):
     def __post_init__(self):
         if self.offset < 0:
             raise ValueError("shift offset must be >= 0")
+        if isinstance(self.base, Shifted):
+            object.__setattr__(self, "offset", self.offset + self.base.offset)
+            object.__setattr__(self, "base", self.base.base)
 
     def at(self, k):
         if k < 0:
@@ -94,8 +101,6 @@ def shift(w: WeightSpec) -> WeightSpec:
     """One application of E: (s_0, s_1, ...) -> (s_1, s_2, ...)."""
     if isinstance(w, Constant):
         return w
-    if isinstance(w, Shifted):
-        return Shifted(w.base, w.offset + 1)
     return Shifted(w, 1)
 
 
@@ -186,14 +191,25 @@ def _parse_value(token: str) -> RingElement:
 
 
 def parse_weight_spec(text: str) -> WeightSpec:
-    """Parse 'const:1', 'const:c', 'explicit:1,0;tail=0', 'shift^2:<spec>'."""
-    head, sep, rest = text.partition(":")
-    if not sep:
-        raise ValueError(f"bad weight spec {text!r}: missing ':'")
-    head = head.strip()
+    """Parse 'const:1', 'const:c', 'explicit:1,0;tail=0', 'shift^2:<spec>'.
+
+    Any number of shift prefixes is read in one loop, their offsets summed
+    into one Shifted; an error names the text after the prefixes read.
+    """
+    offsets = []
+    while True:
+        head, sep, rest = text.partition(":")
+        if not sep:
+            raise ValueError(f"bad weight spec {text!r}: missing ':'")
+        head = head.strip()
+        m = _SHIFT_RE.match(head)
+        if not m:
+            break
+        offsets.append(int(m.group(1) or 1))
+        text = rest
     if head == "const":
-        return Constant(_parse_value(rest))
-    if head == "explicit":
+        w: WeightSpec = Constant(_parse_value(rest))
+    elif head == "explicit":
         body, _, tail_part = rest.partition(";")
         tail: RingElement = 0
         if tail_part:
@@ -204,11 +220,9 @@ def parse_weight_spec(text: str) -> WeightSpec:
         # an empty prefix has no values; an empty value inside one would
         # shift every later height
         values = [_parse_value(tok) for tok in body.split(",")] if body.strip() else []
-        return Explicit(tuple(values), tail)
-    m = _SHIFT_RE.match(head)
-    if m:
-        offset = int(m.group(1)) if m.group(1) else 1
-        return Shifted(parse_weight_spec(rest), offset)
-    raise ValueError(
-        f"bad weight spec {text!r}: expected const:, explicit:, or shift^j: prefix"
-    )
+        w = Explicit(tuple(values), tail)
+    else:
+        raise ValueError(
+            f"bad weight spec {text!r}: expected const:, explicit:, or shift^j: prefix"
+        )
+    return Shifted(w, sum(offsets)) if offsets else w

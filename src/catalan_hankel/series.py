@@ -262,14 +262,12 @@ def _motzkin_lists(cv: tuple, order: int) -> list:
     (n+2) a_n is divided by n+2, and a nonzero remainder raises
     NotDivisibleError."""
     c = _terms(cv)
-    disc = _convolve(max(2 * len(cv) - 1, 1), (c,), (c,))
-    disc[0] -= 4
+    # c * c - 4 * 1, so a zero c still gives [-4]
+    disc = _convolve((c, [(0, -4)]), (c, [(0, 1)]))
     coeffs: list = [[1], list(cv)][:order]
     for n in range(2, order):
-        p, q = coeffs[n - 1], coeffs[n - 2]
-        width = max(len(p) + len(cv) - 1, len(q) + len(disc) - 1)
         scaled = (_terms(cv, 2 * n + 1), _terms(disc, 1 - n))
-        num = _convolve(width, scaled, (_terms(p), _terms(q)))
+        num = _convolve(scaled, (_terms(coeffs[n - 1]), _terms(coeffs[n - 2])))
         if any(map(mod, num, repeat(n + 2))):
             raise NotDivisibleError(f"(n + 2) a_n at n = {n} is not divisible by {n + 2}")
         coeffs.append(list(map(floordiv, num, repeat(n + 2))))

@@ -1,6 +1,9 @@
+import csv
 import dataclasses
 import importlib.util
+import io
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -284,6 +287,34 @@ def test_every_benchmark_invocation_passes_the_input_checks(monkeypatch):
             main(argv)
 
 
+def _edge_shapes(monkeypatch):
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    monkeypatch.syspath_prepend(str(scripts))  # for its bench_pairs import
+    spec = importlib.util.spec_from_file_location("edge_times", scripts / "edge_times.py")
+    edge_times = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(edge_times)
+    return edge_times.SHAPES
+
+
+def test_every_edge_shape_passes_the_input_checks(monkeypatch):
+    # a shape the CLI stops admitting cannot stay in the timed list unnoticed
+    kernels = {
+        "seq": "columns",
+        "table": "admissible_table",
+        "det": "hankel_det",
+        "series": "motzkin_power",
+        "verify": "checker",
+    }
+    for kernel in kernels.values():
+        if kernel != "checker":
+            _stub(monkeypatch, kernel)
+    _stub_checkers(monkeypatch)
+    for shape in _edge_shapes(monkeypatch):
+        argv = shlex.split(shape)
+        with pytest.raises(_Reached, match=kernels[argv[0]]):
+            main(argv)
+
+
 # (flag, a claim that takes it, whether that claim takes --c)
 _VERIFY_CEILINGS = [
     ("--trials", "lemma13", False),
@@ -306,6 +337,8 @@ def _verify_range(flag):
 def test_verify_ceiling_admits_its_largest_value(monkeypatch, flag, claim, takes_c):
     _stub_checkers(monkeypatch)
     lo, hi = _verify_range(flag)
+    if flag == "--order":  # below its least order at the defaults the claim refuses it
+        lo = cli._least_order(claim, CLAIMS[claim].defaults)
     for value in (lo, hi):
         with pytest.raises(_Reached):
             main(["verify", claim, flag, str(value)])
@@ -701,6 +734,34 @@ def test_verify_series_identities_rejects_a_small_explicit_order(capsys):
         code, out, err = run_cli(capsys, "verify", claim, "--k-max", "7", "--order", "17")
         assert (code, out) == (2, "")
         assert err == "error: order 17 too small: need >= 18\n"
+
+
+def test_verify_all_refuses_a_small_explicit_order_before_any_claim_runs(capsys, monkeypatch):
+    ran = []
+    for claim_id, claim in CLAIMS.items():
+        monkeypatch.setitem(
+            CLAIMS, claim_id, dataclasses.replace(claim, check=lambda **kw: ran.append(kw))
+        )
+    # the least order is checked with the ranges, not by the checker, so a
+    # run of every claim no longer does six claims' work before refusing
+    code, out, err = run_cli(capsys, "verify", "all", "--k-max", "7", "--order", "17")
+    assert (code, out, err) == (2, "", "error: order 17 too small: need >= 18\n")
+    code, out, err = run_cli(capsys, "verify", "all", "--n-max", "8", "--order", "22")
+    assert (code, out, err) == (2, "", "error: series order 22 too small: need >= 23\n")
+    assert ran == []
+
+
+def test_verify_all_csv_has_one_header_and_each_claims_witnesses(capsys):
+    code, out, err = run_cli(capsys, "verify", "all", "--format", "csv")
+    assert (code, err) == (1, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    header = ["claim_id", "status", "category", "params", "lhs", "rhs"]
+    assert rows[0] == header
+    assert header not in rows[1:]
+    code, out, _ = run_cli(capsys, "verify", "all", "--format", "json")
+    failures = {r["claim_id"]: len(r["failures"]) for r in json.loads(out)}
+    assert {c: sum(row[0] == c for row in rows[1:]) for c in CLAIM_IDS} == failures
+    assert len(rows) == 1 + sum(failures.values())
 
 
 def test_usage_error_bad_weights(capsys):

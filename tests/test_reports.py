@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # records sign-flip witnesses by design
 _VERIFY_ALL = [
     ("--format text", "db89e7b12aa8010dbc90644caa26e50188b2fdba9fc4db22fdfb8d5dd40a1936"),
-    ("--format csv", "d87c4bd4c9e71c02e34b5ddb233fd68996074f26b1731ee9b2a9c7dccb45ed22"),
+    ("--format csv", "fed5f2a73793844e16386f9b448e2476b5d8aaa65bfd41a10307eaa6881e1ee1"),
     ("--format json", "ffc85ac676b4d8e09549807240bb71120a8f79c75ba3f8afd50613e37c5187e7"),
     ("--c sym --format json", "c4d0063b3031f592e48cdebd46ebbfd3a8b7bda1883088005304151d9870fc54"),
 ]

@@ -9,10 +9,12 @@ from catalan_hankel.ring import (
     NotDivisibleError,
     Polynomial,
     _coeffs,
+    _convolve,
     _kronecker,
     _norms,
     _pack,
     _packing_h,
+    _terms,
     _unpack,
     as_poly,
     exact_div,
@@ -289,6 +291,29 @@ def _assert_product_by_evaluation(a, b):
     assert p.degree() == a.degree() + b.degree()
     for t in range(p.degree() + 1):
         assert p.evaluate(t) == a.evaluate(t) * b.evaluate(t)
+
+
+# -- the one term product: it sizes itself -----------------------------------------
+
+# zero-heavy factors: zero is drawn as often as everything else together, so
+# empty factors and zero top coefficients are common
+sparse_lists = st.lists(st.one_of(st.just(0), st.integers(-4, 4)), max_size=7)
+
+
+@given(st.lists(st.tuples(sparse_lists, sparse_lists), min_size=1, max_size=3))
+def test_convolve_sizes_itself_and_matches_a_dense_double_loop(pairs):
+    left = [_terms(a) for a, _ in pairs]
+    right = [_terms(b) for _, b in pairs]
+    got = _convolve(left, right)
+    degrees = [(Polynomial(a).degree(), Polynomial(b).degree()) for a, b in pairs]
+    sums = [da + db for da, db in degrees if da >= 0 and db >= 0]
+    assert len(got) == (max(sums) + 1 if sums else 0)
+    dense = [0] * sum(len(a) + len(b) for a, b in pairs)
+    for a, b in pairs:
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                dense[i + j] += x * y
+    assert got + [0] * (len(dense) - len(got)) == dense
 
 
 # -- packing at c = 2**h and the balanced-digit reader ---------------------------

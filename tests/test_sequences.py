@@ -275,6 +275,38 @@ def test_cli_rejects_an_empty_weight_value(capsys):
     assert "bad weight value ''" in captured.err
 
 
+def test_nested_shifts_unwrap_into_one_offset():
+    assert Shifted(Shifted(Explicit((1, C), 2), 1), 2) == Shifted(Explicit((1, C), 2), 3)
+    assert shift(Shifted(Explicit((1,), 0), 4)) == Shifted(Explicit((1,), 0), 5)
+    w = parse_weight_spec("shift:shift^2:explicit:1,2,3,4;tail=c")
+    assert w == Shifted(Explicit((1, 2, 3, 4), C), 3)
+    assert w.describe() == "shift^3:explicit:1,2,3,4;tail=c"
+    # a single prefix keeps its wrapper, shift^0 included
+    assert parse_weight_spec("shift^0:const:1").describe() == "shift^0:const:1"
+
+
+def test_nested_shift_errors_name_the_text_after_the_prefixes():
+    with pytest.raises(ValueError, match="bad weight spec 'bogus:1'"):
+        parse_weight_spec("shift:shift^2:bogus:1")
+    with pytest.raises(ValueError, match="bad weight spec '': missing ':'"):
+        parse_weight_spec("shift:shift:")
+
+
+def test_thousands_of_nested_shift_prefixes_run(capsys):
+    # each prefix used to cost a level of recursion in the parser, at and
+    # describe, so about 990 of them crashed every --weights command
+    spec = "shift:" * 5000 + "explicit:1,2;tail=1"
+    assert main(["seq", "--weights", spec, "--n", "3"]) == 0
+    assert capsys.readouterr().out == "1,1,2\n"
+    assert main(["verify", "theorem1", "--weights", spec]) == 0
+    assert "theorem1: verified" in capsys.readouterr().out
+
+
+def test_nested_shift_prefixes_describe_as_one(capsys):
+    assert main(["seq", "--weights", "shift:shift:const:1", "--n", "2", "--format", "json"]) == 0
+    assert '"weights": "shift^2:const:1"' in capsys.readouterr().out
+
+
 def test_describe_golden():
     assert Constant(1).describe() == "const:1"
     assert Constant(C).describe() == "const:c"

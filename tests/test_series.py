@@ -278,8 +278,8 @@ def test_spoiled_p_recurrence_step_raises(monkeypatch, capsys):
     # mod 9 is checked, so neither the series nor the CLI returns a value
     real = series._convolve
 
-    def spoiled(width, left, right):
-        out = real(width, left, right)
+    def spoiled(left, right):
+        out = real(left, right)
         if (2, 1 - 7) in left[-1]:  # the step whose (1 - n)(c^2 - 4) has n = 7
             out[-1] += 1
         return out
