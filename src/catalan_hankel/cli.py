@@ -129,8 +129,9 @@ def _format_values(values, fmt, meta):
             writer.writerow([n, render(v)])
         return buf.getvalue().rstrip("\n")
     if fmt == "bfile":
-        if any(isinstance(v, Polynomial) and v.degree() > 0 for v in values):
-            raise ValueError("bfile format requires numeric values (--c sym not allowed)")
+        for n, v in enumerate(values):
+            if isinstance(v, Polynomial) and v.degree() > 0:
+                raise ValueError(f"bfile format requires numeric values; value {n} holds c")
         return "\n".join(f"{n} {v}" for n, v in enumerate(values))
     return json.dumps({**meta, "values": [_json_value(v) for v in values]}, indent=2)
 
@@ -350,6 +351,10 @@ def _cmd_series(ns) -> int:
     ):
         raise ValueError(f"--c sym needs (k + 16) * (order + 2k)**3 <= {SERIES_MAX_SYMBOLIC_WORK}")
     exponent = -(ns.k + 1) if ns.reciprocal else ns.k + 1
+    if ns.format == "bfile":
+        # A^e begins 1 + e c x: a bfile that would be refused is refused
+        # before the series is computed
+        _format_values([1, exponent * cval][: ns.order], "bfile", {})
     values = motzkin_power(cval, exponent, ns.order).coeffs
     meta = {"c": render(cval), "k": ns.k, "reciprocal": ns.reciprocal, "order": ns.order}
     print(_format_values(values, ns.format, meta))

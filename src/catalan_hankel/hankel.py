@@ -22,11 +22,11 @@ remainder checked, unless the previous pivot is 1 or -1: most of the
 paper's minors are, and such a step divides nothing, its sign folded into
 the multipliers once.  A matrix over Z[c] (``hankel_minors`` decides from
 its 2n - 1 terms) is converted once to int coefficient lists, the int
-form of Z[c] that ``ring`` owns with its product and exact quotient, and
-the Z[c] step builds no Polynomial per entry: each numerator is one int
-list, then one exact division by the previous pivot (or its square, in a
-pair step); only the minors are returned as Polynomials.  A nonzero
-remainder, or a leading coefficient that does not divide, raises
+form of Z[c] that ``ring`` owns with its one product and one exact
+quotient, and the Z[c] step builds no Polynomial per entry: each numerator
+is one int list, then one exact division by the previous pivot (or its
+square, in a pair step); only the minors are returned as Polynomials.  A
+nonzero remainder, or a leading coefficient that does not divide, raises
 InternalDivisionError.
 """
 
@@ -108,8 +108,10 @@ def _pair_step(rows, p: int, r: int, prev):
 # A matrix over Z[c] holds each entry as its coefficient list (ring._coeffs),
 # and each factor is read as its terms once per step or row.  Each new
 # entry's numerator is one ring._convolve, which sizes the product itself,
-# and one ring._exact_div by prev (or prev squared), which trims any top
-# coefficients that cancel, makes it the entry.
+# and one ring._exact_div by prev (or prev squared) makes it the entry: the
+# one exact quotient in Z[c], which ring.exact_div also runs, trims any top
+# coefficients that cancel and checks every leading coefficient and the
+# remainder.
 
 
 def _step_zc(rows, p: int, prev: list) -> None:

@@ -3,13 +3,12 @@
 Every quantity in this package is a *ring element*: either a plain Python
 int (the ring of integers) or a :class:`Polynomial` (integer-coefficient
 polynomials in one symbol, rendered as ``c``).  The two kinds mix freely in
-``+ - *`` and ``divmod`` expressions.  There is one division algorithm:
-``divmod`` is the builtin one on ints and long division in Z[c] on
-Polynomials (``_long_division``); it raises NotDivisibleError when a leading
-coefficient does not divide (the quotient would leave Z[c]).
-:func:`exact_div` is ``divmod`` followed by a check that the remainder is
-zero, so a division that is not exact always fails loudly, whatever the
-operand types.
+``+ - *`` expressions.  Division is :func:`exact_div`: the builtin
+``divmod`` on two ints, with its remainder checked, and on any other pair
+the one exact quotient in Z[c], ``_exact_div``, long division that raises
+NotDivisibleError on a remainder and on a leading coefficient that does not
+divide (the quotient would leave Z[c]).  A division that is not exact always
+fails loudly, whatever the operand types; ``divmod`` takes no Polynomial.
 
 This module owns every int form of Z[c] the kernels elsewhere run on:
 
@@ -19,8 +18,9 @@ This module owns every int form of Z[c] the kernels elsewhere run on:
   one coefficient-list product (``_convolve``, which ``Polynomial.__mul__``
   is: schoolbook, as most multipliers here are short or small, and sized
   from its factors, so no caller works out a length) and the one
-  exact quotient (``_exact_div``), for the elimination over Z[c] and the
-  P-recurrence of the Motzkin series;
+  exact quotient (``_exact_div``, which ``exact_div`` runs on
+  Polynomials), for the elimination over Z[c] and the P-recurrence of the
+  Motzkin series;
 - packed ints, an element's value at c = 2**h (Kronecker substitution),
   and the one driver, ``_kronecker``, that packs the operands of an int
   kernel which only adds and multiplies (the series products, reciprocals
@@ -138,32 +138,8 @@ class Polynomial:
             exponent >>= 1
         return result
 
-    def __divmod__(self, other):
-        """(quotient, remainder) of long division in Z[c]; the remainder has
-        lower degree than the divisor.
-
-        Raises NotDivisibleError when a leading coefficient does not divide
-        (the quotient would leave Z[c]), ZeroDivisionError for a zero divisor.
-        """
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        den = other.coeffs
-        if not den:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = _long_division(rem, [(d, v) for d, v in enumerate(den) if v])
-        return _poly_from_list(quot), Polynomial(rem[: len(den) - 1])
-
-    def __rdivmod__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return divmod(other, self)
-
     def exact_div(self, divisor) -> "Polynomial":
-        """Quotient self / divisor: ``divmod``, then a nonzero remainder
-        raises NotDivisibleError.  See :func:`exact_div`."""
+        """Quotient self / divisor in Z[c]; see :func:`exact_div`."""
         return exact_div(self, divisor)
 
     def evaluate(self, point):
@@ -280,35 +256,26 @@ def _convolve(left, right) -> list:
     return acc
 
 
-def _long_division(rem: list, den: list) -> list:
-    """The quotient of the int coefficient lists rem / den in Z[c], den given
-    as its terms and rem without trailing zeros; rem is left holding the
-    remainder in its low deg(den) entries.  Raises NotDivisibleError when a
-    leading coefficient does not divide."""
+def _exact_div(num: list, den: list) -> list:
+    """num / den in Z[c] by long division, den given as its terms; num is
+    used up.  Raises NotDivisibleError on a leading coefficient that does
+    not divide and on a nonzero remainder."""
+    while num and not num[-1]:
+        num.pop()
     k, lead = den[-1]
     low = den[:-1]
-    quot = [0] * (len(rem) - k)
-    for i in range(len(rem) - k - 1, -1, -1):
-        top = rem[i + k]
+    quot = [0] * (len(num) - k)
+    for i in range(len(num) - k - 1, -1, -1):
+        top = num[i + k]
         if top:
             q, r = divmod(top, lead)
             if r:
                 raise NotDivisibleError(f"leading coefficient {top} not divisible by {lead}")
             quot[i] = q
             for d, v in low:
-                rem[i + d] -= q * v
-    return quot
-
-
-def _exact_div(num: list, den: list) -> list:
-    """num / den in Z[c], den given as its terms; num is used up.  Raises
-    NotDivisibleError on a leading coefficient that does not divide and on
-    a nonzero remainder."""
-    while num and not num[-1]:
-        num.pop()
-    quot = _long_division(num, den)
-    if any(num[: den[-1][0]]):
-        raise NotDivisibleError(f"remainder {num[: den[-1][0]]}")
+                num[i + d] -= q * v
+    if any(num[:k]):
+        raise NotDivisibleError(f"remainder {num[:k]}")
     return quot
 
 
@@ -392,14 +359,19 @@ def _kronecker(kernel, operands: list, majorant: int, offsets=None) -> list:
 
 
 def exact_div(a: RingElement, b: RingElement) -> RingElement:
-    """Exact ring division a / b, the same for ints and Polynomials:
-    ``divmod``, then a nonzero remainder raises NotDivisibleError.  A
-    leading coefficient that does not divide raises it from ``divmod``; a
-    zero divisor raises ZeroDivisionError."""
-    q, r = divmod(a, b)
-    if r:
-        raise NotDivisibleError(f"{a} is not divisible by {b}")
-    return q
+    """Exact ring division a / b: the builtin ``divmod`` when both are ints,
+    ``_exact_div`` when either is a Polynomial.  A remainder, or a leading
+    coefficient that does not divide, raises NotDivisibleError; a zero
+    divisor raises ZeroDivisionError."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        if r:
+            raise NotDivisibleError(f"{a} is not divisible by {b}")
+        return q
+    den = _terms(_coeffs(b))
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    return _poly_from_list(_exact_div(_coeffs(a), den))
 
 
 def render(value: RingElement) -> str:

@@ -25,22 +25,22 @@ power or down to any reciprocal power.  motzkin_power combines the two, so
 A^e costs O(order + |e| * order) ring operations; the closed radical form
 is never used (square roots leave the ring).  For an int c both run on
 ints.  Over Z[c] the P-recurrence runs on int coefficient lists in c
-(``ring._convolve``), each coefficient divided by n+2 with its remainder
-checked, and the walk, which only adds and multiplies, runs packed.
+(``ring._convolve``), each (n+2) a_n divided by n+2 with ring's one exact
+quotient (``ring._exact_div``), which checks every coefficient, and the
+walk, which only adds and multiplies, runs packed.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import repeat
-from operator import add, floordiv, mod, mul, sub
+from operator import add, mul, sub
 
 from .ring import (
-    NotDivisibleError,
     Polynomial,
     RingElement,
     _coeffs,
     _convolve,
+    _exact_div,
     _kronecker,
     _norms,
     _poly_from_list,
@@ -260,7 +260,7 @@ def _motzkin_lists(cv: tuple, order: int) -> list:
     """a_0..a_{order-1} of A over Z[c] as int coefficient lists in c, cv
     holding c's coefficients, by the P-recurrence: every coefficient of
     (n+2) a_n is divided by n+2, and a nonzero remainder raises
-    NotDivisibleError."""
+    NotDivisibleError from ring._exact_div."""
     c = _terms(cv)
     # c * c - 4 * 1, so a zero c still gives [-4]
     disc = _convolve((c, [(0, -4)]), (c, [(0, 1)]))
@@ -268,9 +268,7 @@ def _motzkin_lists(cv: tuple, order: int) -> list:
     for n in range(2, order):
         scaled = (_terms(cv, 2 * n + 1), _terms(disc, 1 - n))
         num = _convolve(scaled, (_terms(coeffs[n - 1]), _terms(coeffs[n - 2])))
-        if any(map(mod, num, repeat(n + 2))):
-            raise NotDivisibleError(f"(n + 2) a_n at n = {n} is not divisible by {n + 2}")
-        coeffs.append(list(map(floordiv, num, repeat(n + 2))))
+        coeffs.append(_exact_div(num, [(0, n + 2)]))
     return coeffs
 
 

@@ -143,9 +143,7 @@ def leading_minors_row_swaps(rows) -> list:
             for row in rows[p + 1 :]:
                 left = row[p]
                 for j in range(p + 1, n):
-                    row[j], rem = divmod(pivot * row[j] - left * top[j], prev)
-                    if rem:
-                        raise NotDivisibleError(f"remainder {rem}")
+                    row[j] = exact_div(pivot * row[j] - left * top[j], prev)
         except NotDivisibleError as exc:
             raise InternalDivisionError(
                 f"inexact division at elimination step {p}"
@@ -172,19 +170,14 @@ def _pair_step(rows, p, r, prev):
         u, v = top[i], ra[i]
         for j in range(i, n):
             minor = x * (u * ra[j] + v * top[j] - x * row[j]) - y * u * top[j]
-            row[j], rem = divmod(minor, square)
-            if rem:
-                raise NotDivisibleError(f"remainder {rem}")
-    pivot, rem = divmod(-x * x, prev)
-    if rem:
-        raise NotDivisibleError(f"remainder {rem}")
-    return pivot
+            row[j] = exact_div(minor, square)
+    return exact_div(-x * x, prev)
 
 
 def symmetric_minors_generic(rows) -> list:
     """Leading minors, sizes 0..n, of a symmetric matrix by the symmetric
     elimination written once for every ring element: each entry is one
-    ``divmod`` of ring elements, Polynomials over Z[c].  The oracle for
+    ``exact_div`` of ring elements, Polynomials over Z[c].  The oracle for
     ``hankel._minors``, whose Z[c] path works on int coefficient lists.
 
     Upper triangle only; a zero pivot at p pairs with the first nonzero
@@ -217,9 +210,7 @@ def symmetric_minors_generic(rows) -> list:
                 row = rows[i]
                 left = top[i]
                 for j in range(i, n):
-                    row[j], rem = divmod(pivot * row[j] - left * top[j], prev)
-                    if rem:
-                        raise NotDivisibleError(f"remainder {rem}")
+                    row[j] = exact_div(pivot * row[j] - left * top[j], prev)
             prev = pivot
             p += 1
     except NotDivisibleError as exc:

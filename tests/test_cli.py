@@ -777,9 +777,37 @@ def test_usage_error_bad_c(capsys):
 
 
 def test_usage_error_bfile_with_symbols(capsys):
-    code, _, err = run_cli(capsys, "seq", "--weights", "const:c", "--n", "3", "--format", "bfile")
-    assert code == 2
-    assert "bfile" in err
+    # seq has no --c: the message names the first value that holds c
+    code, out, err = run_cli(capsys, "seq", "--weights", "const:c", "--n", "3", "--format", "bfile")
+    assert (code, out) == (2, "")
+    assert err == "error: bfile format requires numeric values; value 1 holds c\n"
+    code, out, err = run_cli(
+        capsys, "seq", "--weights", "explicit:1,c", "--n", "5", "--format", "bfile"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: bfile format requires numeric values; value 3 holds c\n"
+
+
+@pytest.mark.parametrize("reciprocal", [[], ["--reciprocal"]])
+def test_series_refuses_a_symbolic_bfile_before_computing_it(capsys, monkeypatch, reciprocal):
+    # coefficient 1 of A^(k+1) and of 1/A^(k+1) is +-(k+1)c from order 2 on
+    def not_run(*args):
+        raise AssertionError("motzkin_power ran")
+
+    monkeypatch.setattr(cli, "motzkin_power", not_run)
+    for k, order in (("3", "2"), ("0", "1400")):
+        argv = ["series", "--c", "sym", "--k", k, "--order", order, "--format", "bfile"]
+        code, out, err = run_cli(capsys, *argv, *reciprocal)
+        assert (code, out) == (2, "")
+        assert err == "error: bfile format requires numeric values; value 1 holds c\n"
+
+
+@pytest.mark.parametrize("reciprocal", [[], ["--reciprocal"]])
+def test_series_bfile_of_order_one_holds_no_c(capsys, reciprocal):
+    code, out, err = run_cli(
+        capsys, "series", "--c", "sym", "--order", "1", "--format", "bfile", *reciprocal
+    )
+    assert (code, out, err) == (0, "0 1\n", "")
 
 
 def test_bfile_prints_values_held_as_constant_polynomials(capsys):

@@ -9,7 +9,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "catalan_hankel"
 
 # used by ring.py alone
-PRIVATE = {"_pack", "_unpack", "_packing_h", "_long_division"}
+PRIVATE = {"_pack", "_unpack", "_packing_h"}
 # defined in ring.py alone
 SHARED = {"_coeffs", "_norms", "_terms", "_convolve", "_exact_div", "_kronecker"}
 

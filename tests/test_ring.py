@@ -125,20 +125,23 @@ elements = st.one_of(st.integers(-50, 50), polys)
 @given(elements, elements.filter(bool))
 def test_divmod_and_exact_div_round_trip(a, b):
     assert exact_div(a * b, b) == a
-    q, r = divmod(a * b, b)
-    assert q == a and not r
     assert as_poly(a * b).exact_div(b) == a
+    if isinstance(a, int) and isinstance(b, int):
+        assert divmod(a * b, b) == (a, 0)
+    else:
+        # divmod is the builtin on ints alone; Z[c] divides by exact_div
+        with pytest.raises(TypeError):
+            divmod(a * b, b)
 
 
 @given(elements, polys.filter(lambda p: p.degree() >= 1), coeff_lists)
-def test_a_remainder_of_lower_degree_is_returned_and_rejected(a, b, low):
+def test_a_remainder_of_lower_degree_is_rejected(a, b, low):
     r = Polynomial(low[: b.degree()])
     if not r:
         r = Polynomial((1,))
-    assert divmod(a * b + r, b) == (a, r)
-    with pytest.raises(NotDivisibleError):
+    with pytest.raises(NotDivisibleError, match="remainder"):
         exact_div(a * b + r, b)
-    with pytest.raises(NotDivisibleError):
+    with pytest.raises(NotDivisibleError, match="remainder"):
         as_poly(a * b + r).exact_div(b)
 
 
@@ -156,31 +159,37 @@ def test_a_leading_coefficient_that_does_not_divide_raises(low, b, lead, data):
     divisor = Polynomial(b.coeffs[:-1] + (lead,))
     t = lead * data.draw(st.integers(-5, 5)) + data.draw(st.integers(1, lead - 1))
     dividend = Polynomial(low + [0] * divisor.degree() + [t])
-    with pytest.raises(NotDivisibleError):
-        divmod(dividend, divisor)
-    with pytest.raises(NotDivisibleError):
+    with pytest.raises(NotDivisibleError, match="leading coefficient"):
+        dividend.exact_div(divisor)
+    with pytest.raises(NotDivisibleError, match="leading coefficient"):
         exact_div(dividend, divisor)
 
 
 @given(elements)
 def test_a_zero_divisor_raises(a):
+    # raised before the Z[c] quotient reads the divisor's leading term
     for zero in (0, Polynomial()):
-        with pytest.raises(ZeroDivisionError):
-            divmod(a, zero)
         with pytest.raises(ZeroDivisionError):
             exact_div(a, zero)
         with pytest.raises(ZeroDivisionError):
             as_poly(a).exact_div(zero)
 
 
-def test_divmod_mixes_ints_and_polynomials():
-    assert divmod(C * C - 1, C - 1) == (C + 1, 0)
-    assert divmod(3, C) == (0, 3)
-    with pytest.raises(NotDivisibleError):
-        divmod(2 * C + 7, 2)  # a constant divisor divides every coefficient or fails
-    assert divmod(6 * C + 4, 2) == (3 * C + 2, 0)
-    assert divmod(Polynomial((7,)), 7) == (1, 0)
-    assert divmod(7, Polynomial((7,))) == (1, 0)
+def test_exact_div_mixes_ints_and_polynomials():
+    assert exact_div(C * C - 1, C - 1) == (C * C - 1).exact_div(C - 1) == C + 1
+    with pytest.raises(NotDivisibleError, match="remainder"):
+        exact_div(3, C)  # 3 = 0 * c + 3
+    with pytest.raises(NotDivisibleError, match="leading coefficient 7 not divisible by 2"):
+        exact_div(2 * C + 7, 2)  # a constant divisor divides every coefficient or fails
+    assert exact_div(6 * C + 4, 2) == (6 * C + 4).exact_div(2) == 3 * C + 2
+    assert exact_div(Polynomial((7,)), 7) == Polynomial((7,)).exact_div(7) == 1
+    assert exact_div(7, Polynomial((7,))) == 1
+    # a Polynomial operand makes a Polynomial quotient, even of constants
+    assert type(exact_div(7, Polynomial((7,)))) is Polynomial
+    assert type(exact_div(7, 7)) is int
+    for a, b in ((C, 1), (1, C), (C, C)):
+        with pytest.raises(TypeError):
+            divmod(a, b)
 
 
 @given(elements, elements)

@@ -273,25 +273,28 @@ def test_zc_motzkin_power_matches_generic_walk_and_quadratic(cval):
             assert all(isinstance(v, Polynomial) for v in got.coeffs)
 
 
-def test_spoiled_p_recurrence_step_raises(monkeypatch, capsys):
-    # one coefficient of (n + 2) a_n, at n = 7, is off by one: its remainder
-    # mod 9 is checked, so neither the series nor the CLI returns a value
+@pytest.mark.parametrize("where", ["lowest", "middle", "top"])
+@pytest.mark.parametrize("n", [6, 7, 14])
+def test_spoiled_p_recurrence_step_raises(monkeypatch, capsys, n, where):
+    # one coefficient of (n + 2) a_n is off by one, whether it was zero (c's
+    # parity leaves every other one zero) or not: its remainder mod n + 2 is
+    # checked, so neither the series nor the CLI returns a value
     real = series._convolve
 
     def spoiled(left, right):
         out = real(left, right)
-        if (2, 1 - 7) in left[-1]:  # the step whose (1 - n)(c^2 - 4) has n = 7
-            out[-1] += 1
+        if (2, 1 - n) in left[-1]:  # the step whose (1 - n)(c^2 - 4) has this n
+            out[{"lowest": 0, "middle": len(out) // 2, "top": -1}[where]] += 1
         return out
 
     monkeypatch.setattr(series, "_convolve", spoiled)
-    assert motzkin_power(C, 1, 7) == motzkin_power_generic(C, 1, 7)
-    with pytest.raises(NotDivisibleError, match="not divisible by 9"):
-        motzkin_power(C, 1, 8)
-    assert main(["series", "--c", "sym", "--order", "8"]) == 2
+    assert motzkin_power(C, 1, n) == motzkin_power_generic(C, 1, n)
+    with pytest.raises(NotDivisibleError, match=f"not divisible by {n + 2}$"):
+        motzkin_power(C, 1, n + 1)
+    assert main(["series", "--c", "sym", "--order", str(n + 1)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "not divisible by 9" in captured.err
+    assert f"not divisible by {n + 2}\n" in captured.err
 
 
 # -- product and reciprocal kernels vs the double-loop oracles -----------------
